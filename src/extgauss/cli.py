@@ -1,7 +1,10 @@
 """Command-line front end: run, check and demo programs in the small language.
 
-Exit codes: 0 success, 1 parse or type error, 2 infeasible observation,
-3 I/O error.  The environment variable ``GX_TOL`` overrides the default
+Exit codes: 0 success; 1 parse or type error, invalid tolerance, or a
+posterior that is not finite (NaN or Inf in the mean, the covariance or
+the nondeterministic basis); 2 infeasible observation; 3 I/O error.
+Output is strict JSON: NaN and Infinity are never printed.  The
+environment variable ``GX_TOL`` overrides the default
 comparison/feasibility tolerance; the ``--tol`` flag wins over both.
 """
 
@@ -12,11 +15,14 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .dsl import ParseError, PosteriorReport, TypeCheckError, interpret, parse, typecheck
 from .extended import InfeasibleObservation
 from .subspace import DEFAULT_TOL, Tolerance
 
 _SQ = 0.7071067811865476  # sqrt(1/2)
+_NOT_FINITE = "error: posterior is not finite"
 
 DEMOS = {
     "example-2-1": {
@@ -85,16 +91,25 @@ def _resolve_tol(flag_value) -> Tolerance:
     return DEFAULT_TOL
 
 
+def _dumps(data) -> str:
+    return json.dumps(data, allow_nan=False)
+
+
+def _is_finite(report: PosteriorReport) -> bool:
+    post = report.posterior
+    return all(np.isfinite(a).all() for a in (post.mean, post.cov, post.nondet.basis))
+
+
 def _print_report(report: PosteriorReport, as_json: bool):
     data = report.to_dict()
     if as_json:
-        print(json.dumps(data))
+        print(_dumps(data))
         return
     print("variables:", ", ".join(data["variables"]))
-    print("mean:", json.dumps(data["mean"]))
-    print("cov:", json.dumps(data["cov"]))
+    print("mean:", _dumps(data["mean"]))
+    print("cov:", _dumps(data["cov"]))
     if data["nondet_basis"]:
-        print("nondeterministic directions:", json.dumps(data["nondet_basis"]))
+        print("nondeterministic directions:", _dumps(data["nondet_basis"]))
     else:
         print("nondeterministic directions: (none)")
     print("tolerance:", data["tolerance"])
@@ -127,6 +142,9 @@ def _cmd_run(args) -> int:
     except InfeasibleObservation as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)
         return 2
+    if not _is_finite(report):
+        print(_NOT_FINITE, file=sys.stderr)
+        return 1
     _print_report(report, args.json)
     return 0
 
@@ -160,15 +178,18 @@ def _cmd_demo(args) -> int:
     except InfeasibleObservation as exc:  # pragma: no cover - demos are feasible
         print(f"demo {args.name}:{exc}", file=sys.stderr)
         return 2
+    if not _is_finite(report):
+        print(_NOT_FINITE, file=sys.stderr)
+        return 1
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(_dumps(report.to_dict()))
         return 0
     print(f"demo {args.name}: {demo['note']}")
     print()
     print(demo["source"].rstrip())
     print()
-    print("computed:", json.dumps(report.to_dict()))
-    print("expected:", json.dumps(demo["expected"]))
+    print("computed:", _dumps(report.to_dict()))
+    print("expected:", _dumps(demo["expected"]))
     return 0
 
 

@@ -8,12 +8,22 @@ which are invariant under change of basis.  Dual-space constructions
 inner product; this fixes one concrete matrix realization of statements
 that are basis-free in the abstract.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share between threads.
+Every operation is a pure function and a :class:`Subspace` cannot be
+changed after construction, except for one write-once cache: the first
+call to :meth:`Subspace.annihilator` stores the complement it computes, and
+later calls return that same object.  Two threads that race on the first
+call both compute the same value and one of them is kept, so values are
+still safe to share between threads.
+
+Some constructions have shortcuts: the complement of the zero and of the
+full subspace, and the image or intersection of a zero subspace.  Each
+shortcut returns bit for bit what the general path returns for the same
+input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,8 +42,8 @@ class Tolerance:
     eq_abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.rank_rel_tol > 0 and self.eq_abs_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.rank_rel_tol < math.inf and 0 < self.eq_abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -50,20 +60,32 @@ def _as_float_matrix(m) -> np.ndarray:
     return a
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    basis = basis.copy()
-    for j in range(basis.shape[1]):
-        lead = int(np.argmax(np.abs(basis[:, j])))
-        if basis[lead, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return basis
+    """Flip each column so its largest-magnitude entry is positive.
+
+    The lead entry is the first one of largest magnitude.  Returns a new
+    C-ordered array; a column with a NaN leads with it and is not flipped.
+    """
+    if basis.size == 0:
+        return basis.copy()
+    lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    return np.multiply(basis, 1.0 - 2.0 * (lead < 0), order="C")
+
+
+def _is_orthonormal(basis: np.ndarray, atol: float) -> bool:
+    """Whether ``np.allclose(basis.T @ basis, I, atol=atol)`` holds.
+
+    Same entrywise test, ``|gram - I| <= atol + 1e-5 * I``, so the same
+    bases are accepted and rejected, NaN ones included.
+    """
+    gram = basis.T @ basis
+    if gram.size == 0:
+        return True
+    off = np.abs(gram)
+    off.flat[:: gram.shape[0] + 1] = 0.0  # the diagonal, tested on its own below
+    return bool(
+        off.max() <= atol and np.abs(gram.diagonal() - 1.0).max() <= atol + 1e-5
+    )
 
 
 def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
@@ -94,7 +116,7 @@ class Subspace:
     projectors agree entrywise within tolerance.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_complement")
 
     def __init__(self, ambient_dim: int, basis, tol: Tolerance = DEFAULT_TOL):
         ambient_dim = int(ambient_dim)
@@ -107,11 +129,13 @@ class Subspace:
             )
         if basis.shape[1] > ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=tol.eq_abs_tol):
+        if not _is_orthonormal(basis, tol.eq_abs_tol):
             raise ValueError("basis columns are not orthonormal")
+        basis = _fix_signs(basis)  # a new array that no caller holds
+        basis.setflags(write=False)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", _freeze(_fix_signs(basis)))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_complement", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -167,9 +191,20 @@ class Subspace:
         return self.annihilator().projector()
 
     def annihilator(self) -> "Subspace":
-        """The orthogonal complement (the annihilator realized in R^n)."""
-        u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(self.ambient_dim, u[:, self.dim:])
+        """The orthogonal complement (the annihilator realized in R^n).
+
+        Computed once and cached; every call returns the same object.
+        """
+        if self._complement is None:
+            n = self.ambient_dim
+            if self.dim == 0:
+                basis = np.eye(n)  # what the SVD of an n-by-0 matrix returns as U
+            elif self.dim == n:
+                basis = np.zeros((n, 0))
+            else:
+                basis = np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:]
+            object.__setattr__(self, "_complement", Subspace(n, basis))
+        return self._complement
 
     def contains(self, v, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Membership test: the residual off the subspace is small."""
@@ -230,6 +265,12 @@ def intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspac
     to a single rank decision on stacked complements.
     """
     _check_same_ambient(u, v)
+    if (u.dim == 0 or v.dim == 0) and tol.rank_rel_tol < 0.5:
+        # the complement of the zero operand is R^n, so the stacked
+        # complements [I | B] (B orthonormal) have singular values 1 and
+        # sqrt(2): every cutoff below 1/sqrt(2) keeps rank n, and the
+        # general path returns the zero subspace
+        return Subspace.zero(u.ambient_dim)
     return minkowski_sum(u.annihilator(), v.annihilator(), tol).annihilator()
 
 
@@ -245,6 +286,8 @@ def image(a, u: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         raise ValueError(
             f"matrix with {a.shape[1]} columns applied to subspace of R^{u.ambient_dim}"
         )
+    if u.dim == 0:
+        return Subspace.zero(a.shape[0])
     scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
     return Subspace(a.shape[0], orthonormal_columns(a @ u.basis, tol, scale), tol)
 

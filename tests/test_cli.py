@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extgauss
 from extgauss.cli import DEMOS, main
+from extgauss.dsl import PosteriorReport, interpret
+from extgauss.extended import ExtendedGaussian
 
 EXACT = "x ~ normal(0,1)\ny ~ normal(0,1)\nobserve x == y\nreturn x\n"
 INFEASIBLE = "x = 0\nobserve x == 1\nreturn x\n"
@@ -87,6 +92,29 @@ class TestRun:
         assert main(["run", exact_file]) == 1
         assert "invalid tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_out_of_range_env_tolerance(self, exact_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("GX_TOL", value)
+        assert main(["run", exact_file, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid tolerance" in captured.err
+
+    def test_infinite_tol_flag_rejected(self, exact_file, capsys):
+        assert main(["run", exact_file, "--json", "--tol", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid tolerance" in captured.err
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_overflowing_posterior_is_an_error(self, tmp_path, capsys, as_json):
+        path = tmp_path / "overflow.gx"
+        path.write_text("x ~ normal(0, 1); y = 1e308*x + 1e308*x; return y")
+        with np.errstate(all="ignore"):
+            code = main(["run", str(path)] + (["--json"] if as_json else []))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: posterior is not finite" in captured.err
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -111,20 +139,51 @@ class TestDemo:
         assert "computed:" in out and "expected:" in out
         assert "observe x == y" in out
 
+    def test_infinite_env_tolerance_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("GX_TOL", "inf")
+        assert main(["demo", "exact-equality", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid tolerance" in captured.err
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_non_finite_posterior_is_an_error(self, capsys, monkeypatch, as_json):
+        def nan_interpret(program, tol):
+            report = interpret(program, tol)
+            post = report.posterior
+            mean = np.full_like(post.mean, np.nan)
+            return PosteriorReport(
+                report.variables, ExtendedGaussian(post.nondet, mean, post.cov), tol.eq_abs_tol
+            )
+
+        monkeypatch.setattr("extgauss.cli.interpret", nan_interpret)
+        argv = ["demo", "exact-equality"] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: posterior is not finite" in captured.err
+
     def test_unknown_demo_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["demo", "no-such-demo"])
+
+
+def _run_module(*args):
+    """``python -m extgauss`` in a child that imports the package under test."""
+    src = str(Path(extgauss.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "extgauss", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         path = tmp_path / "exact.gx"
         path.write_text(EXACT)
-        proc = subprocess.run(
-            [sys.executable, "-m", "extgauss", "run", str(path), "--json"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("run", str(path), "--json")
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         np.testing.assert_allclose(data["cov"], [[0.5]], atol=1e-10)
@@ -132,9 +191,5 @@ class TestModuleEntryPoint:
     def test_python_dash_m_infeasible(self, tmp_path):
         path = tmp_path / "imp.gx"
         path.write_text(INFEASIBLE)
-        proc = subprocess.run(
-            [sys.executable, "-m", "extgauss", "run", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("run", str(path))
         assert proc.returncode == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extgauss.subspace import (
+    DEFAULT_TOL,
     NotComplementary,
     Subspace,
     Tolerance,
@@ -14,10 +15,12 @@ from extgauss.subspace import (
     intersect,
     minkowski_sum,
     oblique_projector,
+    orthonormal_columns,
     product,
     pseudoinverse,
     structured_complement,
 )
+from extgauss.subspace import _fix_signs
 
 from _gen import nullspace_oracle, random_subspace, rank_oracle
 
@@ -307,6 +310,11 @@ class TestToleranceAndSerialization:
             Tolerance(rank_rel_tol=0.0)
         with pytest.raises(ValueError):
             Tolerance(eq_abs_tol=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                Tolerance(eq_abs_tol=bad)
+            with pytest.raises(ValueError):
+                Tolerance(rank_rel_tol=bad)
 
     def test_rank_cutoff_is_relative(self):
         # a tiny second direction below the relative cutoff is dropped
@@ -327,3 +335,144 @@ class TestToleranceAndSerialization:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
             Subspace(2, [[1.0], [1.0]])
+
+
+def _fix_signs_loop(basis):
+    """Reference sign convention: one column at a time."""
+    basis = basis.copy()
+    for j in range(basis.shape[1]):
+        lead = int(np.argmax(np.abs(basis[:, j])))
+        if basis[lead, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis
+
+
+def _accepts(basis, atol):
+    try:
+        Subspace(basis.shape[0], basis, Tolerance(eq_abs_tol=atol))
+    except ValueError as exc:
+        assert "orthonormal" in str(exc)
+        return False
+    return True
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFastPaths:
+    """Every shortcut agrees bit for bit with the general path it replaces."""
+
+    @staticmethod
+    def _sign_inputs():
+        rng = np.random.default_rng(1234)
+        yield rng.standard_normal((7, 4))
+        yield rng.standard_normal((30, 30))
+        # tied magnitudes: the first of the largest entries decides the sign
+        yield np.array([[1.0, -1.0, 2.0], [-1.0, 1.0, -2.0], [0.5, 1.0, 2.0]])
+        yield rng.integers(-2, 3, size=(6, 5)).astype(float)
+        # signed zeros must come out with the same sign bits
+        yield np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, 0.0], [-0.0, 1.0, -0.0]])
+        zero_col = rng.standard_normal((5, 3))
+        zero_col[:, 1] = 0.0
+        yield zero_col
+        zero_row = rng.standard_normal((5, 3))
+        zero_row[2] = -0.0
+        yield zero_row
+        yield np.zeros((4, 0))
+        yield np.zeros((0, 0))
+        # a view that is not C-ordered, as a slice of an SVD factor is
+        yield np.asfortranarray(rng.standard_normal((6, 6)))[:, :3]
+        nan_col = rng.standard_normal((4, 2))
+        nan_col[1, 0] = np.nan
+        yield nan_col
+
+    def test_fix_signs_matches_loop(self):
+        for basis in self._sign_inputs():
+            got, want = _fix_signs(basis), _fix_signs_loop(basis)
+            assert _same_bits(got, want)
+            assert got.flags.c_contiguous and got is not basis
+
+    @pytest.mark.parametrize("atol", [1e-8, 1e-3, 0.25])
+    def test_orthonormality_boundary_matches_allclose(self, atol):
+        def decisions(bases):
+            out = []
+            for basis in bases:
+                want = np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=atol)
+                assert _accepts(basis, atol) == want
+                out.append(want)
+            return out
+
+        # diagonal: a single column of length sqrt(1 + atol + 1e-5), stepped
+        # through the last bits on either side of the boundary
+        diag = []
+        a = np.sqrt(1.0 + atol + 1e-5)
+        for step in range(-40, 41):
+            x = a
+            for _ in range(abs(step)):
+                x = np.nextafter(x, np.inf if step > 0 else -np.inf)
+            diag.append(np.array([[x], [0.0]]))
+            diag.append(np.array([[x * np.sqrt(0.5)], [-x * np.sqrt(0.5)]]))
+        # off-diagonal: two unit columns whose inner product is about atol
+        off = []
+        for e in (np.nextafter(atol, 0.0), atol, np.nextafter(atol, 1.0)):
+            c = np.sqrt(1.0 - e * e)
+            off.append(np.array([[1.0, e], [0.0, c]]))
+            off.append(np.array([[1.0, -e], [0.0, c]]))
+        for group in (diag, off):
+            assert set(decisions(group)) == {True, False}
+
+    def test_orthonormality_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            basis = np.array([[1.0, 0.0], [0.0, bad], [0.0, 0.0]])
+            with np.errstate(invalid="ignore"):
+                assert not np.allclose(basis.T @ basis, np.eye(2))
+                assert not _accepts(basis, 1e-8)
+        assert _accepts(np.zeros((3, 0)), 1e-8)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
+    def test_annihilator_matches_svd_path(self, n):
+        rng = np.random.default_rng(n)
+        cases = [Subspace.zero(n), Subspace.full(n)]
+        if n > 1:
+            cases.append(random_subspace(rng, n, n // 2))
+        for u in cases:
+            want = Subspace(n, np.linalg.svd(u.basis, full_matrices=True)[0][:, u.dim:])
+            got = u.annihilator()
+            assert _same_bits(got.basis, want.basis)
+            assert u.annihilator() is got
+
+    def test_immutable(self):
+        u = Subspace.span([[1.0, 2.0]])
+        u.annihilator()
+        for name in ("basis", "ambient_dim", "_complement"):
+            with pytest.raises(AttributeError):
+                setattr(u, name, None)
+        assert not u.basis.flags.writeable
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_image_of_zero_matches_general_path(self, m):
+        a = np.random.default_rng(m).standard_normal((m, 3))
+        scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
+        want = Subspace(m, orthonormal_columns(a @ np.zeros((3, 0)), DEFAULT_TOL, scale))
+        got = image(a, Subspace.zero(3))
+        assert got.ambient_dim == m and _same_bits(got.basis, want.basis)
+        with pytest.raises(ValueError):
+            image(np.eye(2), Subspace.zero(3))
+
+    @pytest.mark.parametrize("rank_rel_tol", [1e-10, 0.9])
+    def test_intersect_with_zero_matches_general_path(self, rank_rel_tol):
+        tol = Tolerance(rank_rel_tol=rank_rel_tol)
+        rng = np.random.default_rng(5)
+        n = 4
+        for u, v in [
+            (Subspace.zero(n), random_subspace(rng, n, 2)),
+            (random_subspace(rng, n, 3), Subspace.zero(n)),
+            (Subspace.zero(n), Subspace.full(n)),
+            (Subspace.zero(n), Subspace.zero(n)),
+        ]:
+            want = minkowski_sum(u.annihilator(), v.annihilator(), tol).annihilator()
+            got = intersect(u, v, tol)
+            assert got.ambient_dim == n and _same_bits(got.basis, want.basis)
+        with pytest.raises(ValueError):
+            intersect(Subspace.zero(2), Subspace.zero(3))
