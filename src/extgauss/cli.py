@@ -1,8 +1,9 @@
 """Command-line front end: run, check and demo programs in the small language.
 
-Exit codes: 0 success; 1 parse or type error, invalid tolerance, or a
-posterior that is not finite (NaN or Inf in the mean, the covariance or
-the nondeterministic basis); 2 infeasible observation; 3 I/O error.
+Exit codes: 0 success; 1 usage error (unknown option, subcommand or demo,
+or a malformed option value), parse or type error, invalid tolerance, or
+a posterior that is not finite (NaN or Inf in the mean, the covariance
+or the nondeterministic basis); 2 infeasible observation; 3 I/O error.
 Output is strict JSON: NaN and Infinity are never printed.  The
 environment variable ``GX_TOL`` overrides the default
 comparison/feasibility tolerance; the ``--tol`` flag wins over both.
@@ -193,8 +194,16 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not 2: code 2 means an infeasible observation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gx",
         description="run programs of a small Gaussian language with exact conditioning",
     )
@@ -203,9 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a program and print its posterior")
     run.add_argument("file")
     run.add_argument("--tol", type=float, default=None, help="feasibility tolerance")
-    fmt = run.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="print the posterior as JSON")
-    fmt.add_argument("--pretty", action="store_true", help="human-readable output (default)")
+    run.add_argument("--json", action="store_true", help="print the posterior as JSON")
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="parse and typecheck only")

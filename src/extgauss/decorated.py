@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .gauss import _block_diag, psd_normalize
+from .gauss import _block_diag, _ro, psd_normalize
 from .subspace import (
     DEFAULT_TOL,
     Subspace,
@@ -148,8 +148,10 @@ class CovDec(Decoration):
         return np.asarray(s, dtype=float) + np.asarray(t, dtype=float)
 
     def push(self, matrix, s):
+        # exactly symmetric, so sums of pushed forms need no re-symmetrizing
         matrix = np.asarray(matrix, dtype=float)
-        return matrix @ np.asarray(s, dtype=float) @ matrix.T
+        s = matrix @ np.asarray(s, dtype=float) @ matrix.T
+        return (s + s.T) / 2.0
 
     def oplus(self, s, t):
         return _block_diag(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
@@ -272,7 +274,8 @@ class DecoratedRelation:
     columns in D^perp, and a noise value fixed by pushing along the
     projector onto D^perp.  Construction normalizes arbitrary
     representatives, so two constructions from equivalent data compare
-    equal.
+    equal.  Values are immutable and their arrays read-only; operations
+    build results of the class chosen by :meth:`_result_class`.
     """
 
     __slots__ = ("dec", "dom_dim", "cod_dim", "nondet", "lin", "noise")
@@ -286,21 +289,42 @@ class DecoratedRelation:
         if dec.dim(noise) != lin.shape[0]:
             raise ValueError("noise does not live on the codomain")
         p = nondet.complement_projector()
+        self._fill(dec, nondet, p @ lin, dec.push(p, noise))
+
+    def _fill(self, dec, nondet, lin, noise):
         object.__setattr__(self, "dec", dec)
         object.__setattr__(self, "dom_dim", lin.shape[1])
         object.__setattr__(self, "cod_dim", lin.shape[0])
         object.__setattr__(self, "nondet", nondet)
-        object.__setattr__(self, "lin", p @ lin)
-        object.__setattr__(self, "noise", dec.push(p, noise))
+        object.__setattr__(self, "lin", _ro(lin))
+        object.__setattr__(self, "noise", _frozen(noise))
+
+    @classmethod
+    def _result_class(cls, dom_dim: int) -> type:
+        return cls
+
+    @classmethod
+    def _from_normal(cls, dec: Decoration, nondet: Subspace, lin, noise):
+        """Wrap data that is already in normal form: no checks, no projection."""
+        out = object.__new__(cls._result_class(lin.shape[1]))
+        out._fill(dec, nondet, lin, noise)
+        return out
 
     def __setattr__(self, name, value):
-        raise AttributeError("DecoratedRelation is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
         return (
-            f"DecoratedRelation({self.dom_dim} -> {self.cod_dim}, "
+            f"{type(self).__name__}({self.dom_dim} -> {self.cod_dim}, "
             f"{type(self.dec).__name__}, nondet dim {self.nondet.dim})"
         )
+
+
+def _frozen(noise):
+    """Read-only copies of the arrays in a noise value, through pairs."""
+    if isinstance(noise, tuple):
+        return tuple(map(_frozen, noise))
+    return _ro(noise) if isinstance(noise, np.ndarray) else noise
 
 
 def normalize(dec: Decoration, nondet: Subspace, lin, noise) -> DecoratedRelation:
@@ -325,7 +349,8 @@ def rel_compose(m2: DecoratedRelation, m1: DecoratedRelation,
     """Composition of annotated relations.
 
     The combined nondeterminism is E + f2[D]; both the linear part and the
-    noise are transported into the quotient by it.
+    noise are transported into the quotient by it, which leaves them in
+    normal form.  The class of ``m2`` chooses the class of the result.
     """
     if m1.dec != m2.dec:
         raise ValueError("cannot compose relations over different noise models")
@@ -336,13 +361,14 @@ def rel_compose(m2: DecoratedRelation, m1: DecoratedRelation,
     p = combined.complement_projector()
     through = p @ m2.lin
     noise = dec.add(dec.push(through, m1.noise), dec.push(p, m2.noise))
-    return DecoratedRelation(dec, combined, through @ m1.lin, noise)
+    return type(m2)._from_normal(dec, combined, through @ m1.lin, noise)
 
 
 def rel_tensor(m1: DecoratedRelation, m2: DecoratedRelation) -> DecoratedRelation:
+    """Parallel composition; the class of ``m1`` chooses the result's."""
     if m1.dec != m2.dec:
         raise ValueError("cannot tensor relations over different noise models")
-    return DecoratedRelation(
+    return type(m1)._from_normal(
         m1.dec,
         product(m1.nondet, m2.nondet),
         _block_diag(m1.lin, m2.lin),

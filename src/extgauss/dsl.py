@@ -413,7 +413,6 @@ class PosteriorReport:
     variables: tuple[str, ...]
     posterior: ExtendedGaussian
     tolerance: float
-    feasible: bool = True
 
     def to_dict(self) -> dict:
         return {

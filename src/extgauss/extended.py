@@ -7,11 +7,12 @@ not change the distribution, so values are kept in a normal form with
 mean and covariance orthogonal to ``nondet``; equality then reduces to a
 componentwise comparison.
 
-Extended Gaussian maps ``x -> A x + N(mean, cov) + nondet`` compose
-through the generic annotated-relation engine with the point/covariance
-noise pair.  Conditionals split off the nondeterministic directions with
-a structured complement, condition the Gaussian part, decompose the
-nondeterminism into a function plus output noise, and reassemble.  Exact
+Extended Gaussian maps ``x -> A x + N(mean, cov) + nondet`` are the
+decorated relations over the point/covariance noise pair, so the relation
+engine alone computes their normal form, composition and tensor.
+Conditionals split off the nondeterministic directions with a structured
+complement, condition the Gaussian part, decompose the nondeterminism
+into a function plus output noise, and reassemble.  Exact
 conditioning on linear events (``observe``) introduces the residual as an
 auxiliary variable, conditions on it, and evaluates at the observed
 value, failing loudly when the observation is off the support.
@@ -24,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import gauss
-from .decorated import CovDec, DecoratedRelation, PairDec, PointDec, rel_compose, rel_tensor
-from .gauss import AffineSupportMap, GaussianMap, psd_normalize
+from .decorated import (CovDec, DecoratedRelation, PairDec, PointDec, congruent,
+                        rel_compose, rel_tensor)
+from .gauss import AffineSupportMap, GaussianMap, _ro, psd_normalize
 from .linrel import graph_decompose
 from .subspace import (
     DEFAULT_TOL,
@@ -47,70 +49,50 @@ class InfeasibleObservation(ValueError):
     """An exact observation lies outside the support of the variable."""
 
 
-def _ro(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-class ExtendedGaussianMap:
+class ExtendedGaussianMap(DecoratedRelation):
     """``x -> lin @ x + N(mean, cov) + nondet`` from R^n to R^m.
 
-    The stored representative is in normal form: ``lin``, ``mean`` and
-    ``cov`` are orthogonal to ``nondet``.  Construction normalizes any
-    representative, so equivalent inputs produce equal values.
+    The decorated relation over ``PairDec(PointDec(), CovDec())`` with
+    noise ``(mean, cov)``: ``lin``, ``mean`` and ``cov`` are orthogonal to
+    ``nondet``, so equivalent inputs produce equal values.
     """
 
-    __slots__ = ("dom_dim", "cod_dim", "nondet", "lin", "mean", "cov")
+    __slots__ = ()
 
     def __init__(self, nondet: Subspace, lin, mean, cov, tol: Tolerance = DEFAULT_TOL):
         lin = np.asarray(lin, dtype=float)
         if lin.ndim != 2:
             raise ValueError("linear part must be a matrix")
-        m, n = lin.shape
+        m = lin.shape[0]
         mean = np.asarray(mean, dtype=float).reshape(-1)
         if mean.shape != (m,):
             raise ValueError(f"mean of shape {mean.shape}, expected ({m},)")
-        if nondet.ambient_dim != m:
-            raise ValueError("nondeterminism subspace must live in the codomain")
         cov = psd_normalize(cov, tol)
         if cov.shape != (m, m):
             raise ValueError(f"cov of shape {cov.shape}, expected ({m}, {m})")
-        p = nondet.complement_projector()
-        object.__setattr__(self, "dom_dim", n)
-        object.__setattr__(self, "cod_dim", m)
-        object.__setattr__(self, "nondet", nondet)
-        object.__setattr__(self, "lin", _ro(p @ lin))
-        object.__setattr__(self, "mean", _ro(p @ mean))
-        object.__setattr__(self, "cov", _ro(psd_normalize(p @ cov @ p, tol)))
+        super().__init__(_DEC, nondet, lin, (mean, cov))
+        # projecting can leave rounding-level negative eigenvalues
+        object.__setattr__(self, "noise", (self.mean, _ro(psd_normalize(self.cov, tol))))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedGaussianMap is immutable")
+    @classmethod
+    def _result_class(cls, dom_dim: int) -> type:
+        return ExtendedGaussian if dom_dim == 0 else ExtendedGaussianMap
 
-    def equals(self, other: "ExtendedGaussianMap", tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Equality of the distributions themselves, not representatives.
+    @property
+    def mean(self) -> np.ndarray:
+        return self.noise[0]
 
-        Because both sides are in normal form this is a componentwise
-        comparison; the choice of complement is fixed once and for all.
-        """
-        if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
-            return False
-        return (
-            self.nondet.equals(other.nondet, tol)
-            and bool(np.allclose(self.lin, other.lin, atol=tol.eq_abs_tol))
-            and bool(np.allclose(self.mean, other.mean, atol=tol.eq_abs_tol))
-            and bool(np.allclose(self.cov, other.cov, atol=tol.eq_abs_tol))
-        )
+    @property
+    def cov(self) -> np.ndarray:
+        return self.noise[1]
 
-    def __repr__(self):
-        return (
-            f"ExtendedGaussianMap({self.dom_dim} -> {self.cod_dim}, "
-            f"nondet dim {self.nondet.dim})"
-        )
+    equals = congruent
 
 
 class ExtendedGaussian(ExtendedGaussianMap):
     """An extended Gaussian distribution: the domain-0 case of a map."""
+
+    __slots__ = ()
 
     def __init__(self, nondet: Subspace, mean, cov, tol: Tolerance = DEFAULT_TOL):
         mean = np.asarray(mean, dtype=float).reshape(-1)
@@ -138,9 +120,12 @@ class ExtendedGaussian(ExtendedGaussianMap):
 
 
 def as_distribution(m: ExtendedGaussianMap) -> ExtendedGaussian:
+    """View a map out of R^0 as a distribution; its normal form is kept."""
     if m.dom_dim != 0:
         raise ValueError("not a distribution: domain dimension is nonzero")
-    return ExtendedGaussian(m.nondet, m.mean, m.cov)
+    if isinstance(m, ExtendedGaussian):
+        return m
+    return ExtendedGaussian._from_normal(m.dec, m.nondet, m.lin, m.noise)
 
 
 def gaussian(mean, cov, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
@@ -191,26 +176,16 @@ def delete(n: int) -> ExtendedGaussianMap:
     )
 
 
-def _to_rel(m: ExtendedGaussianMap) -> DecoratedRelation:
-    return DecoratedRelation(_DEC, m.nondet, m.lin, (m.mean, m.cov))
-
-
-def _from_rel(r: DecoratedRelation, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussianMap:
-    mean, cov = r.noise
-    return ExtendedGaussianMap(r.nondet, r.lin, mean, cov, tol)
-
-
 def compose(f2: ExtendedGaussianMap, f1: ExtendedGaussianMap,
             tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussianMap:
-    """Sequential composition through the annotated-relation engine."""
-    if f1.cod_dim != f2.dom_dim:
-        raise ValueError("shape mismatch in composition")
-    return _from_rel(rel_compose(_to_rel(f2), _to_rel(f1), tol), tol)
+    """Sequential composition: the relation engine's, on the pair noise."""
+    return rel_compose(f2, f1, tol)
 
 
 def tensor(f: ExtendedGaussianMap, g: ExtendedGaussianMap,
            tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussianMap:
-    return _from_rel(rel_tensor(_to_rel(f), _to_rel(g)), tol)
+    """Parallel composition: the relation engine's, on the pair noise."""
+    return rel_tensor(f, g)
 
 
 def pushforward(a, psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
@@ -232,16 +207,10 @@ def translate(psi: ExtendedGaussian, v, tol: Tolerance = DEFAULT_TOL) -> Extende
 def marginal(psi: ExtendedGaussian, coords: Sequence[int],
              tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Restriction to a subset of coordinates, in the given order."""
-    coords = list(coords)
-    sel = np.zeros((len(coords), psi.dim))
-    for i, c in enumerate(coords):
-        sel[i, c] = 1.0
-    return pushforward(sel, psi, tol)
+    return pushforward(np.eye(psi.dim)[list(coords)], psi, tol)
 
 
-def equals(a: ExtendedGaussianMap, b: ExtendedGaussianMap,
-           tol: Tolerance = DEFAULT_TOL) -> bool:
-    return a.equals(b, tol)
+equals = congruent
 
 
 def support(m: ExtendedGaussianMap, tol: Tolerance = DEFAULT_TOL) -> AffineSupportMap:

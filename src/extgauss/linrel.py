@@ -31,13 +31,6 @@ class NotLeftTotal(ValueError):
     """The relation leaves some input unrelated to any output."""
 
 
-def _coord_selector(total: int, rows: list[int]) -> np.ndarray:
-    sel = np.zeros((len(rows), total))
-    for i, r in enumerate(rows):
-        sel[i, r] = 1.0
-    return sel
-
-
 class LinearRelation:
     """A left-total linear relation, stored as the subspace of its graph."""
 
@@ -50,7 +43,7 @@ class LinearRelation:
             raise ValueError(
                 f"graph lives in R^{graph.ambient_dim}, expected R^{dom_dim + cod_dim}"
             )
-        px = _coord_selector(dom_dim + cod_dim, list(range(dom_dim)))
+        px = np.eye(dom_dim + cod_dim)[:dom_dim]
         if image(px, graph, tol).dim != dom_dim:
             raise NotLeftTotal("graph does not project onto the whole domain")
         object.__setattr__(self, "dom_dim", dom_dim)
@@ -149,7 +142,7 @@ def _zero_section(graph: Subspace, nx: int, tol: Tolerance) -> Subspace:
     """The subspace {y : (0, y) in graph} of the last ny coordinates."""
     ny = graph.ambient_dim - nx
     walls = product(Subspace.zero(nx), Subspace.full(ny))
-    py = _coord_selector(nx + ny, list(range(nx, nx + ny)))
+    py = np.eye(nx + ny)[nx:]
     return image(py, intersect(graph, walls, tol), tol)
 
 
@@ -190,7 +183,7 @@ def compose(r2: LinearRelation, r1: LinearRelation,
     b2[:n, :n] = np.eye(n)
     b2[n:, n:] = r2.graph.basis
     inter = intersect(Subspace(total, b1), Subspace(total, b2), tol)
-    pxz = _coord_selector(total, list(range(n)) + list(range(n + p, total)))
+    pxz = np.eye(total)[list(range(n)) + list(range(n + p, total))]
     return LinearRelation(n, m, image(pxz, inter, tol), tol)
 
 
@@ -207,7 +200,7 @@ def conditional(r: LinearRelation, nx: int, tol: Tolerance = DEFAULT_TOL) -> Lin
         list(range(na, na + nx)) + list(range(na)) + list(range(na + nx, na + nx + ny))
     )
     reordered = Subspace(na + nx + ny, r.graph.basis[order])
-    dom = image(_coord_selector(na + nx + ny, list(range(nx + na))), reordered, tol)
+    dom = image(np.eye(na + nx + ny)[:nx + na], reordered, tol)
     extension = product(dom.annihilator(), Subspace.zero(ny))
     return LinearRelation(nx + na, ny, minkowski_sum(reordered, extension, tol), tol)
 
@@ -247,7 +240,7 @@ class AffineRelation:
             raise ValueError("base point must live in R^{dom+cod}")
         if direction.ambient_dim != dom_dim + cod_dim:
             raise ValueError("direction must live in R^{dom+cod}")
-        px = _coord_selector(dom_dim + cod_dim, list(range(dom_dim)))
+        px = np.eye(dom_dim + cod_dim)[:dom_dim]
         if image(px, direction, tol).dim != dom_dim:
             raise NotLeftTotal("direction does not project onto the whole domain")
         base = base - direction.basis @ (direction.basis.T @ base)

@@ -68,6 +68,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "impossible.gx:2:1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "f.gx", "--tol", "abc"],
+            ["demo", "nosuch"],
+            ["run", "f.gx", "--bogus"],
+            ["run", "f.gx", "--pretty"],
+        ],
+        ids=["bad-tol-value", "unknown-demo", "unknown-option", "removed-pretty"],
+    )
+    def test_usage_error_exit_code(self, argv, capsys):
+        # exit code 2 is reserved for infeasible observations
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.gx")]) == 3
         assert "error" in capsys.readouterr().err

@@ -132,7 +132,6 @@ class TestInterpret:
         np.testing.assert_allclose(report.posterior.mean, [0.0], atol=1e-10)
         np.testing.assert_allclose(report.posterior.cov, [[0.5]], atol=1e-10)
         assert report.posterior.nondet.dim == 0
-        assert report.feasible
 
     def test_uninformative_partner(self):
         report = interpret(parse("y ~ uniform(); x ~ normal(0,1); observe x == y; return x"))

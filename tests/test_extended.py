@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from extgauss import decorated
 from extgauss import extended as E
 from extgauss import gauss
+from extgauss.decorated import DecoratedRelation, congruent
 from extgauss.extended import (
     ExtendedGaussian,
     ExtendedGaussianMap,
@@ -354,3 +356,90 @@ class TestSupportAndFunctorPaths:
         lhs = E.support(E.compose(f, g))
         rhs = gauss.compose_support(E.support(f), E.support(g))
         assert lhs.equals(rhs)
+
+
+def _single_normal_form_cases(rng):
+    """(name, thunk) pairs: compose, tensor and as_distribution on random
+    operands, distributions and maps mixed on both sides.  Operands are
+    built here, so a thunk runs only the operation under test."""
+    n, m, p = (int(rng.integers(1, 4)) for _ in range(3))
+    f, g = random_extended_map(rng, n, m), random_extended_map(rng, m, p)
+    psi, chi = random_extended(rng, n), random_extended(rng, m)
+    flat = ExtendedGaussianMap(chi.nondet, np.zeros((m, 0)), chi.mean, chi.cov)
+    drop = E.delete(m)
+    return [
+        ("compose map map", lambda: E.compose(g, f)),
+        ("compose map dist", lambda: E.compose(f, psi)),
+        ("compose dist delete", lambda: E.compose(psi, drop)),
+        ("tensor map map", lambda: E.tensor(f, g)),
+        ("tensor dist dist", lambda: E.tensor(psi, chi)),
+        ("tensor dist map", lambda: E.tensor(psi, f)),
+        ("tensor map dist", lambda: E.tensor(f, psi)),
+        ("as_distribution dist", lambda: as_distribution(psi)),
+        ("as_distribution flat map", lambda: as_distribution(flat)),
+        ("as_distribution composite", lambda: as_distribution(E.compose(f, psi))),
+    ]
+
+
+def _count_own_numerics(monkeypatch) -> dict:
+    """Count ``psd_normalize`` and ``numpy.linalg`` calls made outside the
+    subspace operations (image, sum, product, complement) the engine uses."""
+    counts = {}
+    inside = [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if not inside[0]:
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def exempt(fn):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "pinv", "solve", "norm", "qr", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for module in (E, decorated, gauss):
+        monkeypatch.setattr(module, "psd_normalize", counted("psd_normalize", gauss.psd_normalize))
+    for name in ("image", "minkowski_sum", "product"):
+        monkeypatch.setattr(decorated, name, exempt(getattr(decorated, name)))
+    monkeypatch.setattr(Subspace, "annihilator", exempt(Subspace.annihilator))
+    return counts
+
+
+class TestSingleNormalForm:
+    """Composite values are built once, by the relation engine."""
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_results_are_normal_forms_of_the_right_class(self, seed):
+        rng = np.random.default_rng(8100 + seed)
+        for name, build in _single_normal_form_cases(rng):
+            out = build()
+            assert isinstance(out, DecoratedRelation), name
+            expected = ExtendedGaussian if out.dom_dim == 0 else ExtendedGaussianMap
+            assert type(out) is expected, name
+            rebuilt = ExtendedGaussianMap(out.nondet, out.lin, out.mean, out.cov)
+            assert congruent(out, rebuilt), name
+            for array in (out.lin, out.mean, out.cov):
+                assert not array.flags.writeable, name
+            assert np.array_equal(out.cov, out.cov.T), name
+
+    def test_as_distribution_keeps_a_distribution(self):
+        psi = random_extended(np.random.default_rng(8200), 3)
+        assert as_distribution(psi) is psi
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_factorization_of_their_own(self, seed, monkeypatch):
+        cases = _single_normal_form_cases(np.random.default_rng(8300 + seed))
+        counts = _count_own_numerics(monkeypatch)
+        for name, build in cases:
+            build()
+            assert counts == {}, (name, counts)
