@@ -133,13 +133,10 @@ def _cmd_run(args) -> int:
         print(f"error: invalid tolerance: {exc}", file=sys.stderr)
         return 1
     try:
-        program = parse(text)
-        typecheck(program)
+        report = interpret(parse(text), tol)
     except (ParseError, TypeCheckError) as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)
         return 1
-    try:
-        report = interpret(program, tol)
     except InfeasibleObservation as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ import numpy as np
 from .extended import (
     ExtendedGaussian,
     InfeasibleObservation,
-    as_distribution,
     gaussian,
     marginal,
     observe,
@@ -452,11 +451,11 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
         if isinstance(stmt, Sample):
             n = len(names)
             if isinstance(stmt.dist, UniformDist):
-                state = as_distribution(tensor(state, uniform(1), tol))
+                state = tensor(state, uniform(1), tol)
             else:
                 coeffs, const = _lower_expr(stmt.dist.mean, names)
                 fresh = gaussian([const], [[stmt.dist.variance]], tol)
-                state = as_distribution(tensor(state, fresh, tol))
+                state = tensor(state, fresh, tol)
                 if np.any(coeffs):
                     mix = np.eye(n + 1)
                     mix[n, :n] = coeffs

@@ -10,12 +10,13 @@ componentwise comparison.
 Extended Gaussian maps ``x -> A x + N(mean, cov) + nondet`` are the
 decorated relations over the point/covariance noise pair, so the relation
 engine alone computes their normal form, composition and tensor.
-Conditionals split off the nondeterministic directions with a structured
-complement, condition the Gaussian part, decompose the nondeterminism
-into a function plus output noise, and reassemble.  Exact
-conditioning on linear events (``observe``) introduces the residual as an
-auxiliary variable, conditions on it, and evaluates at the observed
-value, failing loudly when the observation is off the support.
+Conditionals decompose the nondeterminism into a function plus output
+noise, remove it from the Gaussian part with the closed-form projector
+this decomposition gives, and condition what is left with the Gaussian
+formulas.  Exact conditioning on linear events (``observe``) adjoins the
+residual as auxiliary coordinates, conditions on them, and evaluates the
+conditional at the observed value, failing loudly when the observation
+is off the support.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from .subspace import (
     image,
     intersect,
     minkowski_sum,
-    oblique_projector,
     pseudoinverse,
-    structured_complement,
 )
 
 _DEC = PairDec(PointDec(), CovDec())
@@ -225,25 +224,26 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     """Conditional of a map into R^{nx} x R^{ny}.
 
     For ``phi : A -> X x Y`` returns a map ``X x A -> Y`` reproducing the
-    joint when composed with the X-marginal.  The nondeterminism is split
-    off with a structured complement so the Gaussian part and the purely
-    nondeterministic part can be conditioned separately: the former with
-    the usual Gaussian formulas, the latter as a linear function of the
-    nondeterministic input directions plus residual output noise.
+    joint when composed with the X-marginal.  The graph decomposition
+    ``D = {(x, h x + eta) : x in D_X, eta in H}`` of the nondeterminism
+    gives the projector ``t = [[P_U, 0], [-h P_DX, I]]``, ``U = D_X^perp``,
+    which sends ``(d_x, h d_x + eta)`` to ``(0, eta)``; the normal form on
+    ``H`` drops ``eta``.  The Gaussian part ``t phi`` is conditioned with
+    the usual formulas, and inputs in ``D_X`` act through ``h``.
     """
     ny = phi.cod_dim - nx
     if not 0 <= nx <= phi.cod_dim:
         raise ValueError(f"split {nx} out of range for codomain {phi.cod_dim}")
-    k, u, _ = structured_complement(phi.nondet, nx, ny, tol)
-    p_k = oblique_projector(k, phi.nondet, tol)
-    g = gauss.conditional(
-        GaussianMap(p_k @ phi.lin, p_k @ phi.mean, p_k @ phi.cov @ p_k.T, tol),
-        nx,
-        tol,
-    )
     h, h_sub = graph_decompose(phi.nondet, nx, tol)
-    p_u = u.projector()
-    p_dx = np.eye(nx) - p_u
+    d_x = image(np.eye(nx + ny)[:nx], phi.nondet, tol)
+    # from the complement's own basis, not I - P_DX: when D_X = X its
+    # rounding residue would make an all-zero X-covariance look full rank
+    p_u = d_x.annihilator().projector()
+    p_dx = d_x.projector()
+    t = np.block([[p_u, np.zeros((nx, ny))], [-h @ p_dx, np.eye(ny)]])
+    g = gauss.conditional(
+        GaussianMap(t @ phi.lin, t @ phi.mean, t @ phi.cov @ t.T, tol), nx, tol
+    )
     g_x, g_a = g.lin[:, :nx], g.lin[:, nx:]
     lin = np.hstack([g_x @ p_u + h @ p_dx, g_a])
     return ExtendedGaussianMap(h_sub, lin, g.mean, g.cov, tol)
@@ -252,10 +252,12 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
 def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Condition on the exact linear event ``obs @ x = value``.
 
-    The residual ``obs @ x`` is adjoined as an auxiliary variable, the
-    joint is conditioned on it, and the conditional is evaluated at the
-    observed value.  Raises :class:`InfeasibleObservation` when the value
-    lies outside the affine support of ``obs @ x``.
+    The residual ``obs @ x`` is adjoined as k auxiliary coordinates, the
+    joint is conditioned on them, and the conditional is evaluated at the
+    observed value: ``mean + lin @ value`` with the conditional's
+    covariance and nondeterminism, already in normal form.  Raises
+    :class:`InfeasibleObservation` when the value lies outside the affine
+    support of ``obs @ x``.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     value = np.asarray(value, dtype=float).reshape(-1)
@@ -265,19 +267,21 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     if value.shape != (k,):
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     joint = pushforward(np.vstack([obs, np.eye(n)]), psi, tol)
-    zm = marginal(joint, range(k), tol)
     # anchor the support's rank cutoff at the joint's covariance scale so
     # that rounding residue from earlier conditioning cannot fake support
     cov_scale = float(np.linalg.norm(joint.cov, 2)) if joint.cov.size else 0.0
-    supp = minkowski_sum(column_space(zm.cov, tol, scale=cov_scale), zm.nondet, tol)
-    resid = value - zm.mean
+    z_nondet = image(np.eye(k + n)[:k], joint.nondet, tol)
+    supp = minkowski_sum(column_space(joint.cov[:k, :k], tol, scale=cov_scale), z_nondet, tol)
+    resid = value - joint.mean[:k]
     off = resid - supp.basis @ (supp.basis.T @ resid)
     if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
         raise InfeasibleObservation(
             "observed value lies outside the support of the observed quantity"
         )
     cond = conditional(joint, k, tol)
-    return as_distribution(compose(cond, dirac(value), tol))
+    return ExtendedGaussian._from_normal(
+        _DEC, cond.nondet, np.zeros((n, 0)), (cond.mean + cond.lin @ value, cond.cov)
+    )
 
 
 def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
@@ -287,6 +291,19 @@ def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> Exte
     k = psi.dim // 2
     diff = np.hstack([np.eye(k), -np.eye(k)])
     return observe(psi, diff, np.zeros(k), tol)
+
+
+def _set_form(rep, name: str, space: Subspace, form, tol: Tolerance, ambient: str):
+    """Store ``space`` as ``rep.<name>`` and a PSD form supported on it,
+    projected onto it and read-only, as ``rep.form``."""
+    form = psd_normalize(form, tol)
+    if form.shape != (space.ambient_dim, space.ambient_dim):
+        raise ValueError(f"form shape does not match {ambient}")
+    p = space.projector()
+    if form.size and float(np.max(np.abs(form - p @ form @ p))) > tol.eq_abs_tol:
+        raise ValueError("form is not supported on the given subspace")
+    object.__setattr__(rep, name, space)
+    object.__setattr__(rep, "form", _ro(p @ form @ p if form.size else form))
 
 
 class PrecisionRep:
@@ -299,14 +316,7 @@ class PrecisionRep:
     __slots__ = ("support", "form")
 
     def __init__(self, support: Subspace, form, tol: Tolerance = DEFAULT_TOL):
-        form = psd_normalize(form, tol)
-        if form.shape != (support.ambient_dim, support.ambient_dim):
-            raise ValueError("form shape does not match the support's ambient space")
-        p = support.projector()
-        if form.size and float(np.max(np.abs(form - p @ form @ p))) > tol.eq_abs_tol:
-            raise ValueError("form is not supported on the given subspace")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "form", _ro(p @ form @ p if form.size else form))
+        _set_form(self, "support", support, form, tol, "the support's ambient space")
 
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionRep is immutable")
@@ -322,14 +332,7 @@ class CovarianceRep:
     __slots__ = ("dual_support", "form")
 
     def __init__(self, dual_support: Subspace, form, tol: Tolerance = DEFAULT_TOL):
-        form = psd_normalize(form, tol)
-        if form.shape != (dual_support.ambient_dim, dual_support.ambient_dim):
-            raise ValueError("form shape does not match the ambient space")
-        p = dual_support.projector()
-        if form.size and float(np.max(np.abs(form - p @ form @ p))) > tol.eq_abs_tol:
-            raise ValueError("form is not supported on the given subspace")
-        object.__setattr__(self, "dual_support", dual_support)
-        object.__setattr__(self, "form", _ro(p @ form @ p if form.size else form))
+        _set_form(self, "dual_support", dual_support, form, tol, "the ambient space")
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceRep is immutable")

@@ -25,6 +25,8 @@ from extgauss.extended import (
     uniform,
 )
 from extgauss.gauss import NotPSD
+from extgauss.gauss import GaussianMap
+from extgauss.linrel import graph_decompose
 from extgauss.subspace import (
     DEFAULT_TOL,
     Subspace,
@@ -32,15 +34,20 @@ from extgauss.subspace import (
     column_space,
     intersect,
     minkowski_sum,
+    oblique_projector,
     product,
+    structured_complement,
 )
 
 from _gen import (
     LOOSE_RANK,
     gauss_observe_oracle,
+    nullspace_oracle,
     random_extended,
     random_extended_map,
     random_gaussian_map,
+    random_psd,
+    random_subspace,
     reconstruct_extended,
     span_above,
     support_point,
@@ -443,3 +450,144 @@ class TestSingleNormalForm:
         for name, build in cases:
             build()
             assert counts == {}, (name, counts)
+
+
+def _reference_conditional(phi, nx, tol=DEFAULT_TOL):
+    """The conditional through a structured complement K = U x W of the
+    nondeterminism D and the oblique projector onto K along D."""
+    ny = phi.cod_dim - nx
+    k, u, _ = structured_complement(phi.nondet, nx, ny, tol)
+    p_k = oblique_projector(k, phi.nondet, tol)
+    g = gauss.conditional(
+        GaussianMap(p_k @ phi.lin, p_k @ phi.mean, p_k @ phi.cov @ p_k.T, tol), nx, tol
+    )
+    h, h_sub = graph_decompose(phi.nondet, nx, tol)
+    p_u = u.projector()
+    p_dx = np.eye(nx) - p_u
+    g_x, g_a = g.lin[:, :nx], g.lin[:, nx:]
+    lin = np.hstack([g_x @ p_u + h @ p_dx, g_a])
+    return ExtendedGaussianMap(h_sub, lin, g.mean, g.cov, tol)
+
+
+def _reference_observe(psi, obs, value, tol=DEFAULT_TOL):
+    """Exact conditioning through the X-marginal of the joint for the
+    support check and composition with a Dirac for the evaluation."""
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    value = np.asarray(value, dtype=float).reshape(-1)
+    k, n = obs.shape
+    joint = E.pushforward(np.vstack([obs, np.eye(n)]), psi, tol)
+    zm = E.marginal(joint, range(k), tol)
+    cov_scale = float(np.linalg.norm(joint.cov, 2)) if joint.cov.size else 0.0
+    supp = minkowski_sum(column_space(zm.cov, tol, scale=cov_scale), zm.nondet, tol)
+    resid = value - zm.mean
+    off = resid - supp.basis @ (supp.basis.T @ resid)
+    if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
+        raise InfeasibleObservation("off the support")
+    return as_distribution(E.compose(E.conditional(joint, k, tol), dirac(value), tol))
+
+
+def _relative_gap(a, b) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(b))))
+
+
+def _max_gap(got, expected) -> float:
+    """Largest relative gap between two normal forms, field by field; the
+    nondeterminism is compared through its orthogonal projector."""
+    return max(
+        _relative_gap(got.lin, expected.lin),
+        _relative_gap(got.mean, expected.mean),
+        _relative_gap(got.cov, expected.cov),
+        _relative_gap(got.nondet.projector(), expected.nondet.projector()),
+    )
+
+
+_NONDET_SHAPES = ("any", "dx_zero", "dx_full", "dx_partial")
+
+
+def _conditional_case(rng, shape):
+    """A random map into R^{nx} x R^{ny} whose nondeterminism D has the
+    given X-projection D_X: any, 0, all of R^{nx}, or a proper part
+    together with output noise H = {y : (0, y) in D}.  Covariances take
+    every rank."""
+    na, nx, ny = (int(rng.integers(0, 4)) for _ in range(3))
+    m = nx + ny
+    if shape == "any":
+        d = random_subspace(rng, m)
+    elif shape == "dx_zero":
+        d = product(Subspace.zero(nx), random_subspace(rng, ny))
+    elif shape == "dx_full":
+        d = random_subspace(rng, m, int(rng.integers(nx, m + 1)))
+    else:
+        coupled = random_subspace(rng, m, int(rng.integers(0, max(nx, 1))))
+        d = minkowski_sum(coupled, product(Subspace.zero(nx), random_subspace(rng, ny)))
+    phi = ExtendedGaussianMap(
+        d, rng.standard_normal((m, na)), rng.standard_normal(m), random_psd(rng, m)
+    )
+    return phi, nx
+
+
+class TestClosedFormConditional:
+    """``conditional`` removes the nondeterminism with the projector built
+    from the graph decomposition; the structured-complement construction
+    is the reference."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_structured_complement_construction(self, seed):
+        rng = np.random.default_rng(8400 + seed)
+        seen = set()
+        for i in range(100):
+            phi, nx = _conditional_case(rng, _NONDET_SHAPES[i % 4])
+            got = E.conditional(phi, nx)
+            gap = _max_gap(got, _reference_conditional(phi, nx))
+            assert gap <= 1e-9, (seed, i, gap)
+            d_x = phi.nondet.dim - got.nondet.dim
+            seen.add(("D_X = 0", d_x == 0))
+            seen.add(("D_X = X", d_x == nx))
+            seen.add(("H != 0", got.nondet.dim > 0))
+        assert len(seen) == 6, seen
+
+
+class TestObserveAtAPoint:
+    """``observe`` evaluates the conditional at the observed value and
+    checks feasibility on the joint's first coordinates."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_composition_with_dirac(self, seed):
+        rng = np.random.default_rng(8500 + seed)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(1, n + 2))
+            psi = random_extended(rng, n)
+            obs = rng.standard_normal((k, n))
+            value = obs @ support_point(rng, psi)
+            got = observe(psi, obs, value)
+            assert type(got) is ExtendedGaussian
+            assert _max_gap(got, _reference_observe(psi, obs, value)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_infeasible_on_both_paths(self, seed):
+        rng = np.random.default_rng(8600 + seed)
+        n = int(rng.integers(2, 6))
+        psi = random_extended(rng, n, nondet_dim=int(rng.integers(0, 2)), rank=1)
+        k = psi.nondet.dim + 2  # more rows than the support of obs @ x has dimensions
+        obs = rng.standard_normal((k, n))
+        seen = np.hstack([obs @ psi.cov, obs @ psi.nondet.basis])
+        off = nullspace_oracle(seen.T)[:, 0]
+        value = obs @ support_point(rng, psi) + 1e-3 * off
+        for path in (observe, _reference_observe):
+            with pytest.raises(InfeasibleObservation):
+                path(psi, obs, value)
+
+    def test_builds_no_marginal_dirac_or_composition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("observe called a value-building helper")
+
+        for name in ("marginal", "dirac", "compose", "as_distribution", "rel_compose"):
+            monkeypatch.setattr(E, name, forbidden)
+        post = observe(uniform(2), [[1.0, 1.0]], [4.0])
+        assert post.nondet.dim == 1
+        np.testing.assert_allclose(post.mean, [2.0, 2.0], atol=1e-12)

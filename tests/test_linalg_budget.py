@@ -11,12 +11,17 @@ from extgauss.dsl import interpret, parse
 
 STEPS = 12
 
-# Measured for this program when extended Gaussian maps became decorated
-# relations, so compose and tensor no longer rebuild their normal form with
-# two psd_normalize passes (the count before was 535, and 1,080 before the
-# complement of a subspace became a write-once cache).  Lower it when a
-# change saves more.
-MAX_FACTORIZATIONS = 376
+# Measured for this program when conditionals began to remove the
+# nondeterminism with the projector from the graph decomposition and
+# observe began to evaluate the conditional at the observed value (the
+# count before was 376; 535 before extended Gaussian maps became decorated
+# relations, and 1,080 before the complement of a subspace became a
+# write-once cache).  Lower it when a change saves more.
+MAX_FACTORIZATIONS = 312
+
+# Measured for the regression program below with the same change (239
+# before).
+MAX_FLATREG_FACTORIZATIONS = 179
 
 
 def _chain_program(steps: int) -> str:
@@ -30,6 +35,19 @@ def _chain_program(steps: int) -> str:
             f"observe y{i} == {1.0 + 0.5 * np.sin(i):.3f}",
         ]
     lines.append(f"return x{steps}")
+    return "\n".join(lines) + "\n"
+
+
+def _flatreg_program(p: int = 6, rows: int = 4) -> str:
+    """Regression with flat priors on p coefficients and fewer observed rows
+    than coefficients, so p - rows directions stay nondeterministic."""
+    lines = [f"b{j} ~ uniform()" for j in range(1, p + 1)]
+    for i in range(1, rows + 1):
+        terms = " + ".join(
+            f"{0.1 * ((i * j) % 7) + 0.2 * j / p:.3f}*b{j}" for j in range(1, p + 1)
+        )
+        lines += [f"y{i} ~ normal({terms}, 1)", f"observe y{i} == {0.5 * i + 0.25:.3f}"]
+    lines.append("return " + ", ".join(f"b{j}" for j in range(1, p + 1)))
     return "\n".join(lines) + "\n"
 
 
@@ -61,3 +79,12 @@ def test_chain_program_factorization_budget(monkeypatch):
     assert report.posterior.nondet.dim == 0
     total = sum(counts.values())
     assert total <= MAX_FACTORIZATIONS, counts
+
+
+def test_flatreg_program_factorization_budget(monkeypatch):
+    program = parse(_flatreg_program())
+    counts = _count_factorizations(monkeypatch)
+    report = interpret(program)
+    assert report.posterior.nondet.dim == 2
+    total = sum(counts.values())
+    assert total <= MAX_FLATREG_FACTORIZATIONS, counts
