@@ -3,10 +3,11 @@
 Exit codes: 0 success; 1 usage error (unknown option, subcommand or demo,
 or a malformed option value), parse or type error, invalid tolerance, or
 a posterior that is not finite (NaN or Inf in the mean, the covariance
-or the nondeterministic basis); 2 infeasible observation; 3 I/O error.
-Output is strict JSON: NaN and Infinity are never printed.  The
-environment variable ``GX_TOL`` overrides the default
-comparison/feasibility tolerance; the ``--tol`` flag wins over both.
+or the nondeterministic basis); 2 infeasible observation; 3 I/O error
+(a file that cannot be read or is not UTF-8).  Output is strict JSON:
+NaN and Infinity are never printed.  The environment variable ``GX_TOL``
+overrides the default comparison/feasibility tolerance; the ``--tol``
+flag wins over both.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _load_program(path: str):
 def _cmd_run(args) -> int:
     try:
         text = _load_program(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
@@ -150,7 +151,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     try:
         text = _load_program(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:

@@ -31,7 +31,6 @@ from .extended import (
     observe,
     pushforward,
     tensor,
-    translate,
     uniform,
 )
 from .subspace import DEFAULT_TOL, Subspace, Tolerance
@@ -438,9 +437,10 @@ def _lower_expr(expr: Expr, names: list) -> tuple[np.ndarray, float]:
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
     """Run a program and return the posterior over its returned variables.
 
-    The joint state over all live variables is one extended Gaussian;
-    sampling tensors in a fresh coordinate, assignment adjoins a
-    deterministic affine coordinate, and observation conditions exactly.
+    The joint state over all live variables is one extended Gaussian.
+    Sampling and assignment (a sample of variance 0) tensor in a fresh
+    coordinate and, when its mean depends on live variables, shear it in;
+    observation conditions exactly.
     An infeasible observation raises :class:`InfeasibleObservation`
     annotated with the statement's source position.
     """
@@ -448,26 +448,19 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     names: list = []
     state = ExtendedGaussian(Subspace.zero(0), np.zeros(0), np.zeros((0, 0)), tol)
     for stmt in program.statements:
-        if isinstance(stmt, Sample):
+        if isinstance(stmt, (Sample, Assign)):
             n = len(names)
-            if isinstance(stmt.dist, UniformDist):
-                state = tensor(state, uniform(1), tol)
+            dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
+            if isinstance(dist, UniformDist):
+                coeffs, fresh = np.zeros(n), uniform(1)
             else:
-                coeffs, const = _lower_expr(stmt.dist.mean, names)
-                fresh = gaussian([const], [[stmt.dist.variance]], tol)
-                state = tensor(state, fresh, tol)
-                if np.any(coeffs):
-                    mix = np.eye(n + 1)
-                    mix[n, :n] = coeffs
-                    state = pushforward(mix, state, tol)
-            names.append(stmt.name)
-        elif isinstance(stmt, Assign):
-            coeffs, const = _lower_expr(stmt.expr, names)
-            extend = np.vstack([np.eye(len(names)), coeffs])
-            state = pushforward(extend, state, tol)
-            offset = np.zeros(len(names) + 1)
-            offset[-1] = const
-            state = translate(state, offset, tol)
+                coeffs, const = _lower_expr(dist.mean, names)
+                fresh = gaussian([const], [[dist.variance]], tol)
+            state = tensor(state, fresh, tol)
+            if np.any(coeffs):
+                shear = np.eye(n + 1)
+                shear[n, :n] = coeffs
+                state = pushforward(shear, state, tol)
             names.append(stmt.name)
         else:
             lc, l0 = _lower_expr(stmt.lhs, names)

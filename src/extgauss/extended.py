@@ -53,7 +53,8 @@ class ExtendedGaussianMap(DecoratedRelation):
 
     The decorated relation over ``PairDec(PointDec(), CovDec())`` with
     noise ``(mean, cov)``: ``lin``, ``mean`` and ``cov`` are orthogonal to
-    ``nondet``, so equivalent inputs produce equal values.
+    ``nondet``, so equivalent inputs produce equal values.  The given
+    covariance is checked and clamped to PSD once, before the projection.
     """
 
     __slots__ = ()
@@ -70,8 +71,6 @@ class ExtendedGaussianMap(DecoratedRelation):
         if cov.shape != (m, m):
             raise ValueError(f"cov of shape {cov.shape}, expected ({m}, {m})")
         super().__init__(_DEC, nondet, lin, (mean, cov))
-        # projecting can leave rounding-level negative eigenvalues
-        object.__setattr__(self, "noise", (self.mean, _ro(psd_normalize(self.cov, tol))))
 
     @classmethod
     def _result_class(cls, dom_dim: int) -> type:
@@ -229,7 +228,8 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     gives the projector ``t = [[P_U, 0], [-h P_DX, I]]``, ``U = D_X^perp``,
     which sends ``(d_x, h d_x + eta)`` to ``(0, eta)``; the normal form on
     ``H`` drops ``eta``.  The Gaussian part ``t phi`` is conditioned with
-    the usual formulas, and inputs in ``D_X`` act through ``h``.
+    the usual formulas, and inputs in ``D_X`` act through ``h``.  Only its
+    Schur complement is checked for PSD; the result is built by projection.
     """
     ny = phi.cod_dim - nx
     if not 0 <= nx <= phi.cod_dim:
@@ -241,12 +241,12 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     p_u = d_x.annihilator().projector()
     p_dx = d_x.projector()
     t = np.block([[p_u, np.zeros((nx, ny))], [-h @ p_dx, np.eye(ny)]])
-    g = gauss.conditional(
-        GaussianMap(t @ phi.lin, t @ phi.mean, t @ phi.cov @ t.T, tol), nx, tol
+    g_lin, mean, cov = gauss._conditional(t @ phi.lin, *_DEC.push(t, phi.noise), nx, tol)
+    lin = np.hstack([g_lin[:, :nx] @ p_u + h @ p_dx, g_lin[:, nx:]])
+    p = h_sub.complement_projector()
+    return ExtendedGaussianMap._from_normal(
+        _DEC, h_sub, p @ lin, _DEC.push(p, (mean, cov))
     )
-    g_x, g_a = g.lin[:, :nx], g.lin[:, nx:]
-    lin = np.hstack([g_x @ p_u + h @ p_dx, g_a])
-    return ExtendedGaussianMap(h_sub, lin, g.mean, g.cov, tol)
 
 
 def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:

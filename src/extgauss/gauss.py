@@ -41,7 +41,9 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     eigenvalue exceeds ``tol.eq_abs_tol``, measured relative to the
     magnitude of the matrix for data away from unit scale.  ``scale``
     lets callers whose matrix is a small difference of large quantities
-    widen the bound to the magnitude of those inputs.
+    widen the bound to the magnitude of those inputs.  The library runs
+    it where a covariance enters or is made by subtraction (the Schur
+    complement): pushed, projected and summed PSD forms stay PSD.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -199,23 +201,24 @@ def conditional(f: GaussianMap, nx: int, tol: Tolerance = DEFAULT_TOL) -> Gaussi
     """
     if not 0 <= nx <= f.cod_dim:
         raise ValueError(f"split {nx} out of range for codomain {f.cod_dim}")
-    a_x, a_y = f.lin[:nx], f.lin[nx:]
-    mu_x, mu_y = f.mean[:nx], f.mean[nx:]
-    s_xx = f.cov[:nx, :nx]
-    s_yx = f.cov[nx:, :nx]
-    s_xy = f.cov[:nx, nx:]
-    s_yy = f.cov[nx:, nx:]
+    return GaussianMap(*_conditional(f.lin, f.mean, f.cov, nx, tol), tol)
+
+
+def _conditional(lin, mean, cov, nx: int, tol: Tolerance):
+    """``(lin, mean, schur)`` of :func:`conditional` on the arrays of a map
+    with PSD ``cov``; only the Schur complement is checked for PSD."""
+    a_x, a_y = lin[:nx], lin[nx:]
+    mu_x, mu_y = mean[:nx], mean[nx:]
+    s_xx = cov[:nx, :nx]
+    s_yx = cov[nx:, :nx]
+    s_xy = cov[:nx, nx:]
+    s_yy = cov[nx:, nx:]
     gain = s_yx @ pseudoinverse(s_xx, tol)
     # the Schur complement is a difference of input-scale quantities, so
     # its rounding defects are judged at the input's magnitude
-    scale = float(np.max(np.abs(f.cov))) if f.cov.size else 0.0
+    scale = float(np.max(np.abs(cov))) if cov.size else 0.0
     schur = psd_normalize(s_yy - gain @ s_xy, tol, scale=scale)
-    return GaussianMap(
-        np.hstack([gain, a_y - gain @ a_x]),
-        mu_y - gain @ mu_x,
-        schur,
-        tol,
-    )
+    return np.hstack([gain, a_y - gain @ a_x]), mu_y - gain @ mu_x, schur
 
 
 class AffineSupportMap:

@@ -90,6 +90,15 @@ class TestRun:
         assert main(["run", str(tmp_path / "nope.gx")]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.gx"
+        path.write_bytes(b"\xff x ~ normal(0,1)\nreturn x\n")
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
     def test_tol_flag(self, exact_file, capsys):
         assert main(["run", exact_file, "--json", "--tol", "1e-6"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -591,3 +591,62 @@ class TestObserveAtAPoint:
         post = observe(uniform(2), [[1.0, 1.0]], [4.0])
         assert post.nondet.dim == 1
         np.testing.assert_allclose(post.mean, [2.0, 2.0], atol=1e-12)
+
+
+def _assert_psd_to_rounding(cov, what):
+    assert np.array_equal(cov, cov.T), what
+    if cov.size:
+        bound = DEFAULT_TOL.eq_abs_tol * max(1.0, float(np.max(np.abs(cov))))
+        assert float(np.linalg.eigvalsh(cov)[0]) >= -bound, what
+
+
+class TestCheckWhereCreated:
+    """A covariance is checked for PSD where it enters and where it is made
+    by subtraction (the Schur complement), and nowhere else."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_psd_normalize_calls(self, seed, monkeypatch):
+        rng = np.random.default_rng(8700 + seed)
+        cases = []
+        for i in range(8):
+            phi, nx = _conditional_case(rng, _NONDET_SHAPES[i % 4])
+            psi = random_extended(rng, int(rng.integers(1, 6)))
+            obs = rng.standard_normal((1, psi.dim))
+            cases.append((phi, nx, psi, obs, obs @ support_point(rng, psi)))
+        counts = _count_own_numerics(monkeypatch)
+        for phi, nx, psi, obs, value in cases:
+            for run, expected in (
+                (lambda: ExtendedGaussianMap(phi.nondet, phi.lin, phi.mean, phi.cov), 1),
+                (lambda: E.conditional(phi, nx), 1),
+                (lambda: observe(psi, obs, value), 2),
+            ):
+                counts.clear()
+                run()
+                assert counts.get("psd_normalize") == expected, counts
+
+    def test_conditional_builds_no_gaussian_map_or_public_constructor(self, monkeypatch):
+        rng = np.random.default_rng(8800)
+        cases = [_conditional_case(rng, _NONDET_SHAPES[i % 4]) for i in range(40)]
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("conditional called a checking constructor")
+
+        monkeypatch.setattr(GaussianMap, "__init__", forbidden)
+        monkeypatch.setattr(ExtendedGaussianMap, "__init__", forbidden)
+        for phi, nx in cases:
+            E.conditional(phi, nx)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_results_stay_psd_to_rounding(self, seed):
+        rng = np.random.default_rng(8900 + seed)
+        for i in range(100):
+            shape = _NONDET_SHAPES[i % 4]
+            phi, nx = _conditional_case(rng, shape)
+            psi = E.compose(phi, random_extended(rng, phi.dom_dim))
+            results = {"constructor": phi, "compose": psi, "conditional": E.conditional(phi, nx)}
+            if psi.dim:
+                k = int(rng.integers(1, psi.dim + 1))
+                obs = rng.standard_normal((k, psi.dim))
+                results["observe"] = observe(psi, obs, obs @ support_point(rng, psi))
+            for name, out in results.items():
+                _assert_psd_to_rounding(out.cov, (seed, i, shape, name))

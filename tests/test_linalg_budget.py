@@ -1,4 +1,4 @@
-"""Guard on the number of LAPACK factorizations one program costs.
+"""Guard on the number of LAPACK factorizations a program or an observation costs.
 
 The count for a fixed program is deterministic, so it is pinned: a change
 that brings back per-call factorizations (for example an SVD on every
@@ -8,20 +8,27 @@ that brings back per-call factorizations (for example an SVD on every
 import numpy as np
 
 from extgauss.dsl import interpret, parse
+from extgauss.extended import ExtendedGaussian, observe
+from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when conditionals began to remove the
-# nondeterminism with the projector from the graph decomposition and
-# observe began to evaluate the conditional at the observed value (the
-# count before was 376; 535 before extended Gaussian maps became decorated
-# relations, and 1,080 before the complement of a subspace became a
-# write-once cache).  Lower it when a change saves more.
-MAX_FACTORIZATIONS = 312
+# Measured for this program when covariances began to be checked for PSD
+# only where they enter and in the Schur complement of a conditional (the
+# count before was 312; 376 before conditionals removed the nondeterminism
+# with the projector from the graph decomposition, 535 before extended
+# Gaussian maps became decorated relations, and 1,080 before the
+# complement of a subspace became a write-once cache).  Lower it when a
+# change saves more.
+MAX_FACTORIZATIONS = 181
 
-# Measured for the regression program below with the same change (239
-# before).
-MAX_FLATREG_FACTORIZATIONS = 179
+# Measured for the regression program below with the same change (179
+# before, 239 before the graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 121
+
+# Measured for one rank-1 observe at n = 30 with 5 nondeterministic
+# directions with the same change (32 before).
+MAX_OBSERVE_FACTORIZATIONS = 22
 
 
 def _chain_program(steps: int) -> str:
@@ -79,6 +86,23 @@ def test_chain_program_factorization_budget(monkeypatch):
     assert report.posterior.nondet.dim == 0
     total = sum(counts.values())
     assert total <= MAX_FACTORIZATIONS, counts
+
+
+def test_rank1_observe_factorization_budget(monkeypatch):
+    rng = np.random.default_rng(30)
+    n, k = 30, 5
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    psi = ExtendedGaussian(
+        Subspace.span(rng.standard_normal((k, n)), ambient_dim=n),
+        rng.standard_normal(n),
+        (q * rng.uniform(0.3, 2.5, n)) @ q.T,
+    )
+    obs = rng.standard_normal((1, n))
+    counts = _count_factorizations(monkeypatch)
+    post = observe(psi, obs, obs @ psi.mean)
+    assert post.nondet.dim == k - 1
+    total = sum(counts.values())
+    assert total <= MAX_OBSERVE_FACTORIZATIONS, counts
 
 
 def test_flatreg_program_factorization_budget(monkeypatch):
