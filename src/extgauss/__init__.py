@@ -37,6 +37,7 @@ from .extended import (
     ExtendedGaussian,
     ExtendedGaussianMap,
     InfeasibleObservation,
+    NonFiniteInput,
     PrecisionRep,
 )
 from .dsl import ParseError, PosteriorReport, Program, TypeCheckError
@@ -68,6 +69,7 @@ __all__ = [
     "PrecisionRep",
     "CovarianceRep",
     "InfeasibleObservation",
+    "NonFiniteInput",
     "Program",
     "PosteriorReport",
     "ParseError",

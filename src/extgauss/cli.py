@@ -1,13 +1,13 @@
 """Command-line front end: run, check and demo programs in the small language.
 
 Exit codes: 0 success; 1 usage error (unknown option, subcommand or demo,
-or a malformed option value), parse or type error, invalid tolerance, or
-a posterior that is not finite (NaN or Inf in the mean, the covariance
-or the nondeterministic basis); 2 infeasible observation; 3 I/O error
-(a file that cannot be read or is not UTF-8).  Output is strict JSON:
-NaN and Infinity are never printed.  The environment variable ``GX_TOL``
-overrides the default comparison/feasibility tolerance; the ``--tol``
-flag wins over both.
+or a malformed option value), parse or type error, invalid tolerance, an
+observation on non-finite data, or a posterior that is not finite (NaN or
+Inf in its mean, covariance or nondeterministic basis); 2 infeasible
+observation; 3 I/O error (a file that cannot be read or is not UTF-8).
+Output is strict JSON: NaN and Infinity are never printed.  The
+environment variable ``GX_TOL`` overrides the default
+comparison/feasibility tolerance; the ``--tol`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .dsl import ParseError, PosteriorReport, TypeCheckError, interpret, parse, typecheck
-from .extended import InfeasibleObservation
+from .extended import InfeasibleObservation, NonFiniteInput
 from .subspace import DEFAULT_TOL, Tolerance
 
 _SQ = 0.7071067811865476  # sqrt(1/2)
@@ -135,7 +135,7 @@ def _cmd_run(args) -> int:
         return 1
     try:
         report = interpret(parse(text), tol)
-    except (ParseError, TypeCheckError) as exc:
+    except (ParseError, TypeCheckError, NonFiniteInput) as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)
         return 1
     except InfeasibleObservation as exc:

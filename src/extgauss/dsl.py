@@ -26,6 +26,7 @@ import numpy as np
 from .extended import (
     ExtendedGaussian,
     InfeasibleObservation,
+    NonFiniteInput,
     gaussian,
     marginal,
     observe,
@@ -182,9 +183,11 @@ def _tokenize(text: str) -> list[_Token]:
                         i += 1
             word = text[start:i]
             try:
-                float(word)
+                finite = bool(np.isfinite(float(word)))
             except ValueError:
                 raise ParseError(f"malformed number {word!r}", line, col) from None
+            if not finite:
+                raise ParseError(f"number {word!r} is not finite", line, col)
             tokens.append(_Token("number", word, line, col))
             col += i - start
             continue
@@ -441,8 +444,8 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     Sampling and assignment (a sample of variance 0) tensor in a fresh
     coordinate and, when its mean depends on live variables, shear it in;
     observation conditions exactly.
-    An infeasible observation raises :class:`InfeasibleObservation`
-    annotated with the statement's source position.
+    Infeasible or non-finite observations raise :class:`InfeasibleObservation`
+    or :class:`NonFiniteInput`, annotated with the statement's source position.
     """
     typecheck(program)
     names: list = []
@@ -467,10 +470,8 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
             rc, r0 = _lower_expr(stmt.rhs, names)
             try:
                 state = observe(state, (lc - rc).reshape(1, -1), [r0 - l0], tol)
-            except InfeasibleObservation as exc:
-                raise InfeasibleObservation(
-                    f"{stmt.line}:{stmt.col}: {exc}"
-                ) from exc
+            except (InfeasibleObservation, NonFiniteInput) as exc:
+                raise type(exc)(f"{stmt.line}:{stmt.col}: {exc}") from exc
     posterior = marginal(state, [names.index(i.name) for i in program.returns], tol)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 

@@ -48,6 +48,10 @@ class InfeasibleObservation(ValueError):
     """An exact observation lies outside the support of the variable."""
 
 
+class NonFiniteInput(ValueError):
+    """An input to exact conditioning has a NaN or infinite entry."""
+
+
 class ExtendedGaussianMap(DecoratedRelation):
     """``x -> lin @ x + N(mean, cov) + nondet`` from R^n to R^m.
 
@@ -198,7 +202,8 @@ def pushforward(a, psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> Exten
 
 def translate(psi: ExtendedGaussian, v, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Shift by a constant vector; shifts inside ``nondet`` are absorbed."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    if np.shape(v) != (psi.dim,):
+        raise ValueError(f"shift of shape {np.shape(v)}, expected ({psi.dim},)")
     return ExtendedGaussian(psi.nondet, psi.mean + v, psi.cov, tol)
 
 
@@ -225,39 +230,37 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     For ``phi : A -> X x Y`` returns a map ``X x A -> Y`` reproducing the
     joint when composed with the X-marginal.  The graph decomposition
     ``D = {(x, h x + eta) : x in D_X, eta in H}`` of the nondeterminism
-    gives the projector ``t = [[P_U, 0], [-h P_DX, I]]``, ``U = D_X^perp``,
+    gives the projector ``t = [[P_U, 0], [-h, I]]``, ``U = D_X^perp``,
     which sends ``(d_x, h d_x + eta)`` to ``(0, eta)``; the normal form on
     ``H`` drops ``eta``.  The Gaussian part ``t phi`` is conditioned with
     the usual formulas, and inputs in ``D_X`` act through ``h``.  Only its
     Schur complement is checked for PSD; the result is built by projection.
     """
-    ny = phi.cod_dim - nx
-    if not 0 <= nx <= phi.cod_dim:
-        raise ValueError(f"split {nx} out of range for codomain {phi.cod_dim}")
-    h, h_sub = graph_decompose(phi.nondet, nx, tol)
-    d_x = image(np.eye(nx + ny)[:nx], phi.nondet, tol)
-    # from the complement's own basis, not I - P_DX: when D_X = X its
-    # rounding residue would make an all-zero X-covariance look full rank
-    p_u = d_x.annihilator().projector()
-    p_dx = d_x.projector()
-    t = np.block([[p_u, np.zeros((nx, ny))], [-h @ p_dx, np.eye(ny)]])
-    g_lin, mean, cov = gauss._conditional(t @ phi.lin, *_DEC.push(t, phi.noise), nx, tol)
-    lin = np.hstack([g_lin[:, :nx] @ p_u + h @ p_dx, g_lin[:, nx:]])
+    split = graph_decompose(phi.nondet, nx, tol)  # raises unless 0 <= nx <= cod_dim
+    return ExtendedGaussianMap._from_normal(_DEC, *_conditional(phi.lin, phi.noise, split, tol))
+
+
+def _conditional(lin, noise, split, tol: Tolerance):
+    """``(H, lin, noise)`` of :func:`conditional`; ``noise`` may be unnormalized."""
+    h, h_sub, _, u = split
+    ny, nx = h.shape
+    p_u = u.projector()  # not I - P_DX, whose residue fakes X-covariance rank if D_X = X
+    t = np.block([[p_u, np.zeros((nx, ny))], [-h, np.eye(ny)]])
+    g_lin, mean, cov = gauss._conditional(t @ lin, *_DEC.push(t, noise), nx, tol)
+    lin = np.hstack([g_lin[:, :nx] @ p_u + h, g_lin[:, nx:]])
     p = h_sub.complement_projector()
-    return ExtendedGaussianMap._from_normal(
-        _DEC, h_sub, p @ lin, _DEC.push(p, (mean, cov))
-    )
+    return h_sub, p @ lin, _DEC.push(p, (mean, cov))
 
 
 def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Condition on the exact linear event ``obs @ x = value``.
 
-    The residual ``obs @ x`` is adjoined as k auxiliary coordinates, the
-    joint is conditioned on them, and the conditional is evaluated at the
-    observed value: ``mean + lin @ value`` with the conditional's
-    covariance and nondeterminism, already in normal form.  Raises
-    :class:`InfeasibleObservation` when the value lies outside the affine
-    support of ``obs @ x``.
+    The residual ``obs @ x`` is adjoined as k auxiliary coordinates by
+    pushing the arrays along ``a = [obs; I]``, unnormalized and unchecked;
+    one graph decomposition of ``a D`` serves the support check and the
+    conditional on those coordinates, evaluated at the observed value.
+    Raises :class:`InfeasibleObservation` when the value lies outside the
+    support of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     value = np.asarray(value, dtype=float).reshape(-1)
@@ -266,22 +269,23 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError(f"observation matrix of shape {obs.shape} on R^{psi.dim}")
     if value.shape != (k,):
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
-    joint = pushforward(np.vstack([obs, np.eye(n)]), psi, tol)
+    if not all(np.isfinite(x).all() for x in (obs, value, psi.mean, psi.cov)):
+        raise NonFiniteInput("observation or distribution has a NaN or infinite entry")
+    a = np.vstack([obs, np.eye(n)])
+    mean, cov = _DEC.push(a, psi.noise)
+    split = graph_decompose(image(a, psi.nondet, tol), k, tol)
     # anchor the support's rank cutoff at the joint's covariance scale so
     # that rounding residue from earlier conditioning cannot fake support
-    cov_scale = float(np.linalg.norm(joint.cov, 2)) if joint.cov.size else 0.0
-    z_nondet = image(np.eye(k + n)[:k], joint.nondet, tol)
-    supp = minkowski_sum(column_space(joint.cov[:k, :k], tol, scale=cov_scale), z_nondet, tol)
-    resid = value - joint.mean[:k]
+    cov_scale = float(np.linalg.norm(cov, 2)) if cov.size else 0.0
+    supp = minkowski_sum(column_space(cov[:k, :k], tol, scale=cov_scale), split[2], tol)
+    resid = value - mean[:k]
     off = resid - supp.basis @ (supp.basis.T @ resid)
     if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
         raise InfeasibleObservation(
             "observed value lies outside the support of the observed quantity"
         )
-    cond = conditional(joint, k, tol)
-    return ExtendedGaussian._from_normal(
-        _DEC, cond.nondet, np.zeros((n, 0)), (cond.mean + cond.lin @ value, cond.cov)
-    )
+    nondet, lin, (mean, cov) = _conditional(np.zeros((k + n, 0)), (mean, cov), split, tol)
+    return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((n, 0)), (mean + lin @ value, cov))
 
 
 def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:

@@ -205,22 +205,25 @@ def conditional(r: LinearRelation, nx: int, tol: Tolerance = DEFAULT_TOL) -> Lin
     return LinearRelation(nx + na, ny, minkowski_sum(reordered, extension, tol), tol)
 
 
-def graph_decompose(d: Subspace, nx: int,
-                    tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, Subspace]:
+def graph_decompose(d: Subspace, nx: int, tol: Tolerance = DEFAULT_TOL
+                    ) -> tuple[np.ndarray, Subspace, Subspace, Subspace]:
     """Split a subspace D of R^{nx+ny} into a function plus output noise.
 
-    Returns (h, H) with H = {y : (0, y) in D} such that
-    D = {(x, h @ x + eta) : x in D_X, eta in H}, where D_X is the
-    projection of D onto the first factor.  h vanishes on the orthogonal
-    complement of D_X.
+    Returns (h, H, D_X, U): D = {(x, h @ x + eta) : x in D_X, eta in H}, D_X
+    projects D onto the first factor, U = D_X^perp, H = {y : (0, y) in D} and
+    h vanishes on U.  One SVD of the first nx rows of D's orthonormal basis
+    gives all four; its singular values lie in [0, 1], so one cutoff decides.
     """
-    ny = d.ambient_dim - nx
-    if ny < 0:
+    if not 0 <= nx <= d.ambient_dim:
         raise ValueError(f"split {nx} out of range for R^{d.ambient_dim}")
-    bx = d.basis[:nx]
-    by = d.basis[nx:]
-    h = by @ pseudoinverse(bx, tol)
-    return h, _zero_section(d, nx, tol)
+    bx, by = d.basis[:nx], d.basis[nx:]
+    # an empty block gets what numpy's SVD returns for it, without the call
+    u, s, vt = np.linalg.svd(bx) if bx.size else (np.eye(nx), np.zeros(0), np.eye(d.dim))
+    r = int(np.sum(s > tol.rank_rel_tol))
+    h = (by @ vt[:r].T / s[:r]) @ u[:, :r].T
+    eta = by @ vt[r:].T  # columns of norm sqrt(1 - s^2), s below the cutoff
+    eta /= np.linalg.norm(eta, axis=0)
+    return h, Subspace(len(by), eta), Subspace(nx, u[:, :r]), Subspace(nx, u[:, r:])
 
 
 class AffineRelation:

@@ -142,6 +142,30 @@ class TestRun:
         assert captured.out == ""
         assert "error: posterior is not finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "x ~ normal(0, 1e400); y ~ normal(x, 1); observe y == 1; return x",
+                ":1:15: number '1e400' is not finite",
+            ),
+            (
+                "x ~ normal(0, 1); y = 1e308*x + 1e308*x; z ~ normal(0, 1); "
+                "observe z == y; return z",
+                ":1:60: observation or distribution has a NaN or infinite entry",
+            ),
+        ],
+    )
+    def test_non_finite_input_is_an_error(self, tmp_path, capsys, source, message):
+        path = tmp_path / "overflow.gx"
+        path.write_text(source)
+        with np.errstate(all="ignore"):
+            code = main(["run", str(path), "--json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}{message}\n"
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", sorted(DEMOS))

@@ -18,7 +18,7 @@ from extgauss.dsl import (
     pretty,
     typecheck,
 )
-from extgauss.extended import ExtendedGaussian, InfeasibleObservation
+from extgauss.extended import ExtendedGaussian, InfeasibleObservation, NonFiniteInput
 from extgauss.subspace import Subspace, Tolerance
 
 EXAMPLE_2_1 = (
@@ -84,6 +84,12 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("literal", ["1e400", "1e309", "2.5e99999"])
+    def test_non_finite_number_rejected(self, literal):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse(f"x ~ normal(0, {literal})\nreturn x")
+        assert (err.value.line, err.value.col) == (1, 15)
 
     def test_reserved_words_rejected_as_names(self):
         with pytest.raises(ParseError):
@@ -159,6 +165,15 @@ class TestInterpret:
         with pytest.raises(InfeasibleObservation) as err:
             interpret(program)
         assert str(err.value).startswith("2:1")
+
+    def test_non_finite_observation_carries_location(self):
+        program = parse(
+            "x ~ normal(0, 1)\ny = 1e308*x + 1e308*x\nz ~ normal(0, 1)\n"
+            "observe z == y\nreturn z"
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteInput) as err:
+            interpret(program)
+        assert str(err.value).startswith("4:1: ")
 
     def test_tolerance_is_reported(self):
         tol = Tolerance(eq_abs_tol=1e-6)

@@ -11,6 +11,7 @@ from extgauss.extended import (
     ExtendedGaussian,
     ExtendedGaussianMap,
     InfeasibleObservation,
+    NonFiniteInput,
     PrecisionRep,
     as_distribution,
     condition_equal,
@@ -26,16 +27,18 @@ from extgauss.extended import (
 )
 from extgauss.gauss import NotPSD
 from extgauss.gauss import GaussianMap
-from extgauss.linrel import graph_decompose
+from extgauss.linrel import _zero_section, graph_decompose
 from extgauss.subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
     column_space,
+    image,
     intersect,
     minkowski_sum,
     oblique_projector,
     product,
+    pseudoinverse,
     structured_complement,
 )
 
@@ -84,6 +87,13 @@ class TestNormalFormAndEquality:
         if off.dim:
             outside = off.basis @ (0.5 + rng.random(off.dim))
             assert not E.translate(psi, outside).equals(psi)
+
+    def test_translate_rejects_a_shift_of_another_shape(self):
+        psi = gaussian([0.0, 1.0, 2.0], np.eye(3))
+        for shift in ([5.0], [1.0, 2.0], np.ones((3, 1)), 5.0):
+            with pytest.raises(ValueError, match="shift of shape"):
+                E.translate(psi, shift)
+        np.testing.assert_array_equal(E.translate(psi, [5.0, 5.0, 5.0]).mean, [5.0, 6.0, 7.0])
 
     def test_json_round_trip(self):
         psi = random_extended(np.random.default_rng(1), 3)
@@ -280,6 +290,17 @@ class TestExactConditioning:
         with pytest.raises(InfeasibleObservation):
             observe(dirac([0.0]), [[1.0]], [5.0])
 
+    @pytest.mark.parametrize("where", ["obs", "value", "mean", "cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, where, bad):
+        psi = gaussian([0.0, 1.0], np.eye(2))
+        obs, value = np.array([[1.0, 1.0]]), np.array([1.0])
+        mean, cov = psi.mean.copy(), psi.cov.copy()
+        {"obs": obs, "value": value, "mean": mean, "cov": cov}[where].flat[0] = bad
+        psi = ExtendedGaussian._from_normal(psi.dec, psi.nondet, psi.lin, (mean, cov))
+        with pytest.raises(NonFiniteInput, match="NaN or infinite"):
+            observe(psi, obs, value)
+
     def test_feasibility_scale_anchoring(self):
         # residual variance twelve orders below the joint scale is not support
         psi = gaussian([0.0, 0.0], np.diag([1.0, 1e-16]))
@@ -461,7 +482,7 @@ def _reference_conditional(phi, nx, tol=DEFAULT_TOL):
     g = gauss.conditional(
         GaussianMap(p_k @ phi.lin, p_k @ phi.mean, p_k @ phi.cov @ p_k.T, tol), nx, tol
     )
-    h, h_sub = graph_decompose(phi.nondet, nx, tol)
+    h, h_sub, _, _ = graph_decompose(phi.nondet, nx, tol)
     p_u = u.projector()
     p_dx = np.eye(nx) - p_u
     g_x, g_a = g.lin[:, :nx], g.lin[:, nx:]
@@ -551,6 +572,51 @@ class TestClosedFormConditional:
         assert len(seen) == 6, seen
 
 
+class TestGraphSplit:
+    """``graph_decompose`` takes h, H, D_X and U = D_X^perp from one SVD;
+    the zero section, the direct image and the pseudoinverse are the
+    references."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_references(self, seed):
+        rng = np.random.default_rng(9000 + seed)
+        for i in range(40):
+            phi, nx = _conditional_case(rng, _NONDET_SHAPES[i % 4])
+            d = phi.nondet
+            h, h_sub, d_x, u = graph_decompose(d, nx)
+            assert h_sub.equals(_zero_section(d, nx, DEFAULT_TOL))
+            assert d_x.equals(image(np.eye(d.ambient_dim)[:nx], d))
+            # pinv's cutoff is relative to the largest singular value, so
+            # off D_X it can invert rounding noise; compare on D_X only
+            on_dx = d.basis[nx:] @ pseudoinverse(d.basis[:nx]) @ d_x.projector()
+            np.testing.assert_allclose(h, on_dx, atol=1e-9 * (1 + np.abs(on_dx).max(initial=0)))
+            assert d.dim == d_x.dim + h_sub.dim
+            assert u.dim + d_x.dim == nx
+            np.testing.assert_allclose(u.basis.T @ d_x.basis, 0.0, atol=1e-12)
+            for x in d_x.basis.T:
+                assert d.contains(np.concatenate([x, h @ x]))
+            for eta in h_sub.basis.T:
+                assert d.contains(np.concatenate([np.zeros(nx), eta]))
+            np.testing.assert_allclose(h @ u.basis, 0.0, atol=1e-9)
+
+    def test_loose_rank_cutoff_keeps_an_orthonormal_output_noise(self):
+        # the X-part of D has singular value 5e-3, below a 1e-2 cutoff: D
+        # counts as output noise, whose basis by v has norm sqrt(1 - 2.5e-5)
+        d = Subspace.span([[5e-3, 1.0]])
+        h, h_sub, d_x, u = graph_decompose(d, 1, Tolerance(rank_rel_tol=1e-2))
+        assert (d_x.dim, h_sub.dim, u.dim) == (0, 1, 1)
+        np.testing.assert_array_equal(h, [[0.0]])
+
+    @pytest.mark.parametrize("nx, dim", [(0, 2), (3, 0), (0, 0)])
+    def test_empty_x_block_closed_forms(self, nx, dim, monkeypatch):
+        d = Subspace(nx + 2, np.eye(nx + 2)[:, nx:nx + dim])
+        monkeypatch.setattr(np.linalg, "svd", None)
+        h, h_sub, d_x, u = graph_decompose(d, nx)
+        assert h.shape == (2, nx) and not h.any()
+        assert h_sub.equals(Subspace(2, np.eye(2)[:, :dim]))
+        assert (d_x.dim, u.dim) == (0, nx)
+
+
 class TestObserveAtAPoint:
     """``observe`` evaluates the conditional at the observed value and
     checks feasibility on the joint's first coordinates."""
@@ -618,7 +684,7 @@ class TestCheckWhereCreated:
             for run, expected in (
                 (lambda: ExtendedGaussianMap(phi.nondet, phi.lin, phi.mean, phi.cov), 1),
                 (lambda: E.conditional(phi, nx), 1),
-                (lambda: observe(psi, obs, value), 2),
+                (lambda: observe(psi, obs, value), 1),
             ):
                 counts.clear()
                 run()
@@ -635,6 +701,22 @@ class TestCheckWhereCreated:
         monkeypatch.setattr(ExtendedGaussianMap, "__init__", forbidden)
         for phi, nx in cases:
             E.conditional(phi, nx)
+
+    def test_observe_builds_no_gaussian_map_or_public_constructor(self, monkeypatch):
+        rng = np.random.default_rng(8850)
+        cases = []
+        for _ in range(200):
+            psi = random_extended(rng, int(rng.integers(1, 6)))
+            obs = rng.standard_normal((int(rng.integers(1, psi.dim + 2)), psi.dim))
+            cases.append((psi, obs, obs @ support_point(rng, psi)))
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("observe called a checking constructor")
+
+        monkeypatch.setattr(GaussianMap, "__init__", forbidden)
+        monkeypatch.setattr(ExtendedGaussianMap, "__init__", forbidden)
+        for psi, obs, value in cases:
+            observe(psi, obs, value)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_results_stay_psd_to_rounding(self, seed):

@@ -167,22 +167,27 @@ class TestConditional:
 
 class TestGraphDecompose:
     def test_diagonal(self):
-        h, hsub = graph_decompose(Subspace.span([[1.0, 1.0]]), 1)
+        h, hsub, _, _ = graph_decompose(Subspace.span([[1.0, 1.0]]), 1)
         np.testing.assert_allclose(h, [[1.0]], atol=1e-12)
         assert hsub.dim == 0
 
     def test_pure_output_noise(self):
         d = product(Subspace.zero(2), Subspace.full(2))
-        h, hsub = graph_decompose(d, 2)
+        h, hsub, _, _ = graph_decompose(d, 2)
         np.testing.assert_allclose(h, np.zeros((2, 2)), atol=1e-12)
         assert hsub == Subspace.full(2)
+
+    @pytest.mark.parametrize("nx", [-1, 3])
+    def test_split_out_of_range(self, nx):
+        with pytest.raises(ValueError, match="out of range"):
+            graph_decompose(Subspace.full(2), nx)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_reconstruction_random(self, seed):
         rng = np.random.default_rng(4200 + seed)
         nx, ny = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         d = random_subspace(rng, nx + ny)
-        h, hsub = graph_decompose(d, nx)
+        h, hsub, _, _ = graph_decompose(d, nx)
         px = np.hstack([np.eye(nx), np.zeros((nx, ny))])
         d_x = image(px, d)
         # dimension count: dim D = dim D_X + dim H
