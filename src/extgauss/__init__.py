@@ -12,7 +12,7 @@ submodules:
 - :mod:`extgauss.cli`: the ``gx`` command-line tool
 """
 
-from .subspace import DEFAULT_TOL, NotComplementary, Subspace, Tolerance
+from .subspace import DEFAULT_TOL, NonFiniteInput, NotComplementary, Subspace, Tolerance
 from .gauss import AffineSupportMap, GaussianMap, NotPSD
 from .linrel import (
     AffineQuotientForm,
@@ -37,7 +37,6 @@ from .extended import (
     ExtendedGaussian,
     ExtendedGaussianMap,
     InfeasibleObservation,
-    NonFiniteInput,
     PrecisionRep,
 )
 from .dsl import ParseError, PosteriorReport, Program, TypeCheckError

@@ -1,9 +1,11 @@
 """Command-line front end: run, check and demo programs in the small language.
 
 Exit codes: 0 success; 1 usage error (unknown option, subcommand or demo,
-or a malformed option value), parse or type error, invalid tolerance, an
-observation on non-finite data, or a posterior that is not finite (NaN or
-Inf in its mean, covariance or nondeterministic basis); 2 infeasible
+or a malformed option value), parse or type error, invalid tolerance, a
+statement whose coefficients, constant or result are not finite
+(``FILE:LINE:COL:`` and the input it names, on one line), or a posterior
+that is not finite (NaN or Inf in its mean, covariance or
+nondeterministic basis); 2 infeasible
 observation; 3 I/O error (a file that cannot be read or is not UTF-8).
 Output is strict JSON: NaN and Infinity are never printed.  The
 environment variable ``GX_TOL`` overrides the default

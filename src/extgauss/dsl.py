@@ -18,6 +18,7 @@ observations the posterior does not depend on that order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -425,16 +426,36 @@ class PosteriorReport:
         }
 
 
-def _lower_expr(expr: Expr, names: list) -> tuple[np.ndarray, float]:
+def _lower_expr(expr: Expr, names: list, what: str) -> tuple[np.ndarray, float]:
     """Affine expression over the live variables: (coefficients, constant)."""
     coeffs = np.zeros(len(names))
     const = 0.0
-    for term in expr.terms:
-        if term.var is None:
-            const += term.coeff
-        else:
-            coeffs[names.index(term.var)] += term.coeff
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for term in expr.terms:
+            if term.var is None:
+                const += term.coeff
+            else:
+                coeffs[names.index(term.var)] += term.coeff
+    return _finite_affine(coeffs, const, names, what)
+
+
+def _finite_affine(coeffs, const, names: list, what: str) -> tuple[np.ndarray, float]:
+    """``(coeffs, const)``, or :class:`NonFiniteInput` naming what overflowed."""
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise NonFiniteInput(f"{what} has a non-finite coefficient of {names[bad[0]]!r}")
+    if not np.isfinite(const):
+        raise NonFiniteInput(f"{what} has a non-finite constant")
     return coeffs, const
+
+
+@contextmanager
+def _located(node):
+    """Prefix an inference error raised inside with ``node``'s ``line:col``."""
+    try:
+        yield
+    except (InfeasibleObservation, NonFiniteInput) as exc:
+        raise type(exc)(f"{node.line}:{node.col}: {exc}") from exc
 
 
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
@@ -444,35 +465,40 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     Sampling and assignment (a sample of variance 0) tensor in a fresh
     coordinate and, when its mean depends on live variables, shear it in;
     observation conditions exactly.
-    Infeasible or non-finite observations raise :class:`InfeasibleObservation`
-    or :class:`NonFiniteInput`, annotated with the statement's source position.
+    An infeasible observation raises :class:`InfeasibleObservation`; a
+    coefficient, constant or value that overflows raises
+    :class:`NonFiniteInput` at the statement that made it, before numpy
+    can warn.  Both are prefixed with the statement's ``line:col`` (for
+    the final marginal, the first returned variable's).
     """
     typecheck(program)
     names: list = []
     state = ExtendedGaussian(Subspace.zero(0), np.zeros(0), np.zeros((0, 0)), tol)
     for stmt in program.statements:
-        if isinstance(stmt, (Sample, Assign)):
-            n = len(names)
-            dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
-            if isinstance(dist, UniformDist):
-                coeffs, fresh = np.zeros(n), uniform(1)
+        with _located(stmt):
+            if isinstance(stmt, (Sample, Assign)):
+                n = len(names)
+                dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
+                if isinstance(dist, UniformDist):
+                    coeffs, fresh = np.zeros(n), uniform(1)
+                else:
+                    coeffs, const = _lower_expr(dist.mean, names, f"expression for {stmt.name!r}")
+                    fresh = gaussian([const], [[dist.variance]], tol)
+                state = tensor(state, fresh, tol)
+                if np.any(coeffs):
+                    shear = np.eye(n + 1)
+                    shear[n, :n] = coeffs
+                    state = pushforward(shear, state, tol)
+                names.append(stmt.name)
             else:
-                coeffs, const = _lower_expr(dist.mean, names)
-                fresh = gaussian([const], [[dist.variance]], tol)
-            state = tensor(state, fresh, tol)
-            if np.any(coeffs):
-                shear = np.eye(n + 1)
-                shear[n, :n] = coeffs
-                state = pushforward(shear, state, tol)
-            names.append(stmt.name)
-        else:
-            lc, l0 = _lower_expr(stmt.lhs, names)
-            rc, r0 = _lower_expr(stmt.rhs, names)
-            try:
-                state = observe(state, (lc - rc).reshape(1, -1), [r0 - l0], tol)
-            except (InfeasibleObservation, NonFiniteInput) as exc:
-                raise type(exc)(f"{stmt.line}:{stmt.col}: {exc}") from exc
-    posterior = marginal(state, [names.index(i.name) for i in program.returns], tol)
+                lc, l0 = _lower_expr(stmt.lhs, names, "left-hand side")
+                rc, r0 = _lower_expr(stmt.rhs, names, "right-hand side")
+                with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                    c, v = lc - rc, r0 - l0
+                c, v = _finite_affine(c, v, names, "observed residual")
+                state = observe(state, c.reshape(1, -1), [v], tol)
+    with _located(program.returns[0]):
+        posterior = marginal(state, [names.index(i.name) for i in program.returns], tol)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

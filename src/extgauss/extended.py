@@ -32,8 +32,10 @@ from .gauss import AffineSupportMap, GaussianMap, _ro, psd_normalize
 from .linrel import graph_decompose
 from .subspace import (
     DEFAULT_TOL,
+    NonFiniteInput,
     Subspace,
     Tolerance,
+    _check_finite,
     column_space,
     image,
     intersect,
@@ -48,10 +50,6 @@ class InfeasibleObservation(ValueError):
     """An exact observation lies outside the support of the variable."""
 
 
-class NonFiniteInput(ValueError):
-    """An input to exact conditioning has a NaN or infinite entry."""
-
-
 class ExtendedGaussianMap(DecoratedRelation):
     """``x -> lin @ x + N(mean, cov) + nondet`` from R^n to R^m.
 
@@ -59,6 +57,7 @@ class ExtendedGaussianMap(DecoratedRelation):
     noise ``(mean, cov)``: ``lin``, ``mean`` and ``cov`` are orthogonal to
     ``nondet``, so equivalent inputs produce equal values.  The given
     covariance is checked and clamped to PSD once, before the projection.
+    Raises :class:`NonFiniteInput` on a NaN or infinite entry.
     """
 
     __slots__ = ()
@@ -71,6 +70,8 @@ class ExtendedGaussianMap(DecoratedRelation):
         mean = np.asarray(mean, dtype=float).reshape(-1)
         if mean.shape != (m,):
             raise ValueError(f"mean of shape {mean.shape}, expected ({m},)")
+        cov = np.asarray(cov, dtype=float)
+        _check_finite(lin=lin, mean=mean, cov=cov)
         cov = psd_normalize(cov, tol)
         if cov.shape != (m, m):
             raise ValueError(f"cov of shape {cov.shape}, expected ({m}, {m})")
@@ -191,20 +192,26 @@ def tensor(f: ExtendedGaussianMap, g: ExtendedGaussianMap,
 
 
 def pushforward(a, psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
-    """Image distribution under a matrix: the nondeterminism maps along."""
+    """Image distribution under a matrix: the nondeterminism maps along.
+
+    An overflow raises :class:`NonFiniteInput` from the constructor,
+    without a numpy warning first; so does one in :func:`translate`.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != psi.dim:
         raise ValueError(f"matrix of shape {a.shape} applied to R^{psi.dim}")
-    return ExtendedGaussian(
-        image(a, psi.nondet, tol), a @ psi.mean, a @ psi.cov @ a.T, tol
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = a @ psi.mean, a @ psi.cov @ a.T
+    return ExtendedGaussian(image(a, psi.nondet, tol), mean, cov, tol)
 
 
 def translate(psi: ExtendedGaussian, v, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Shift by a constant vector; shifts inside ``nondet`` are absorbed."""
     if np.shape(v) != (psi.dim,):
         raise ValueError(f"shift of shape {np.shape(v)}, expected ({psi.dim},)")
-    return ExtendedGaussian(psi.nondet, psi.mean + v, psi.cov, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = psi.mean + v
+    return ExtendedGaussian(psi.nondet, mean, psi.cov, tol)
 
 
 def marginal(psi: ExtendedGaussian, coords: Sequence[int],
@@ -269,10 +276,11 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError(f"observation matrix of shape {obs.shape} on R^{psi.dim}")
     if value.shape != (k,):
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
-    if not all(np.isfinite(x).all() for x in (obs, value, psi.mean, psi.cov)):
-        raise NonFiniteInput("observation or distribution has a NaN or infinite entry")
+    _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
     a = np.vstack([obs, np.eye(n)])
-    mean, cov = _DEC.push(a, psi.noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = _DEC.push(a, psi.noise)
+    _check_finite(mean=mean, cov=cov)  # the observed quantity can overflow
     split = graph_decompose(image(a, psi.nondet, tol), k, tol)
     # anchor the support's rank cutoff at the joint's covariance scale so
     # that rounding residue from earlier conditioning cannot fake support
@@ -300,6 +308,8 @@ def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> Exte
 def _set_form(rep, name: str, space: Subspace, form, tol: Tolerance, ambient: str):
     """Store ``space`` as ``rep.<name>`` and a PSD form supported on it,
     projected onto it and read-only, as ``rep.form``."""
+    form = np.asarray(form, dtype=float)
+    _check_finite(form=form)
     form = psd_normalize(form, tol)
     if form.shape != (space.ambient_dim, space.ambient_dim):
         raise ValueError(f"form shape does not match {ambient}")

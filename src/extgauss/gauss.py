@@ -16,6 +16,7 @@ from .subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _check_finite,
     column_space,
     image,
     minkowski_sum,
@@ -75,7 +76,8 @@ class GaussianMap:
     """``x -> lin @ x + N(mean, cov)`` from R^n to R^m.
 
     Shapes are inferred from ``lin`` (m-by-n).  The covariance is
-    symmetrized and clamped to positive semidefinite on construction.
+    symmetrized and clamped to positive semidefinite on construction; a
+    NaN or infinite entry raises :class:`~extgauss.subspace.NonFiniteInput`.
     """
 
     __slots__ = ("dom_dim", "cod_dim", "lin", "mean", "cov")
@@ -88,6 +90,8 @@ class GaussianMap:
         m, n = lin.shape
         if mean.shape != (m,):
             raise ValueError(f"mean of shape {mean.shape}, expected ({m},)")
+        cov = np.asarray(cov, dtype=float)
+        _check_finite(lin=lin, mean=mean, cov=cov)
         cov = psd_normalize(cov, tol)
         if cov.shape != (m, m):
             raise ValueError(f"cov of shape {cov.shape}, expected ({m}, {m})")

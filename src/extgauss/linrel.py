@@ -18,10 +18,11 @@ from .subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _fix_signs,
+    column_space,
     image,
     intersect,
     minkowski_sum,
-    orthonormal_columns,
     product,
     pseudoinverse,
 )
@@ -59,7 +60,7 @@ class LinearRelation:
         a = np.asarray(a, dtype=float)
         m, n = a.shape
         cols = np.vstack([np.eye(n), a])
-        return cls(n, m, Subspace(n + m, orthonormal_columns(cols, tol), tol), tol)
+        return cls(n, m, column_space(cols, tol), tol)
 
     @classmethod
     def identity(cls, n: int) -> "LinearRelation":
@@ -162,7 +163,7 @@ def from_quotient_form(q: QuotientForm, tol: Tolerance = DEFAULT_TOL) -> LinearR
         np.vstack([np.eye(n), q.lin]),
         np.vstack([np.zeros((n, q.nondet.dim)), q.nondet.basis]),
     ])
-    return LinearRelation(n, m, Subspace(n + m, orthonormal_columns(cols, tol), tol), tol)
+    return LinearRelation(n, m, column_space(cols, tol), tol)
 
 
 def compose(r2: LinearRelation, r1: LinearRelation,
@@ -182,7 +183,7 @@ def compose(r2: LinearRelation, r1: LinearRelation,
     b2 = np.zeros((total, n + r2.graph.dim))
     b2[:n, :n] = np.eye(n)
     b2[n:, n:] = r2.graph.basis
-    inter = intersect(Subspace(total, b1), Subspace(total, b2), tol)
+    inter = intersect(Subspace._of(total, b1), Subspace._of(total, b2), tol)
     pxz = np.eye(total)[list(range(n)) + list(range(n + p, total))]
     return LinearRelation(n, m, image(pxz, inter, tol), tol)
 
@@ -199,7 +200,7 @@ def conditional(r: LinearRelation, nx: int, tol: Tolerance = DEFAULT_TOL) -> Lin
     order = (
         list(range(na, na + nx)) + list(range(na)) + list(range(na + nx, na + nx + ny))
     )
-    reordered = Subspace(na + nx + ny, r.graph.basis[order])
+    reordered = Subspace._of(na + nx + ny, _fix_signs(r.graph.basis[order]))
     dom = image(np.eye(na + nx + ny)[:nx + na], reordered, tol)
     extension = product(dom.annihilator(), Subspace.zero(ny))
     return LinearRelation(nx + na, ny, minkowski_sum(reordered, extension, tol), tol)
@@ -223,7 +224,7 @@ def graph_decompose(d: Subspace, nx: int, tol: Tolerance = DEFAULT_TOL
     h = (by @ vt[:r].T / s[:r]) @ u[:, :r].T
     eta = by @ vt[r:].T  # columns of norm sqrt(1 - s^2), s below the cutoff
     eta /= np.linalg.norm(eta, axis=0)
-    return h, Subspace(len(by), eta), Subspace(nx, u[:, :r]), Subspace(nx, u[:, r:])
+    return (h, *(Subspace._of(len(b), _fix_signs(b)) for b in (eta, u[:, :r], u[:, r:])))
 
 
 class AffineRelation:

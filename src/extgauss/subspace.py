@@ -19,6 +19,14 @@ Some constructions have shortcuts: the complement of the zero and of the
 full subspace, and the image or intersection of a zero subspace.  Each
 shortcut returns bit for bit what the general path returns for the same
 input.
+
+A basis is checked where it enters: ``Subspace(n, basis, tol)`` tests its
+shape, finiteness and orthonormality, and ``Subspace.span``,
+``Subspace.from_dict`` and :func:`column_space` reject a non-finite input
+before their SVD.  Every subspace built inside the package comes from
+:func:`column_space` or a closed form through the unchecked
+``Subspace._of``.  A NaN or infinite input raises :class:`NonFiniteInput`,
+which names the argument.
 """
 
 from __future__ import annotations
@@ -51,6 +59,17 @@ DEFAULT_TOL = Tolerance()
 
 class NotComplementary(ValueError):
     """The two subspaces do not form a direct-sum decomposition of R^n."""
+
+
+class NonFiniteInput(ValueError):
+    """An input has a NaN or infinite entry."""
+
+
+def _check_finite(**arrays):
+    """Raise :class:`NonFiniteInput`, naming the first non-finite argument."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
 
 def _as_float_matrix(m) -> np.ndarray:
@@ -129,9 +148,20 @@ class Subspace:
             )
         if basis.shape[1] > ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
+        _check_finite(basis=basis)
         if not _is_orthonormal(basis, tol.eq_abs_tol):
             raise ValueError("basis columns are not orthonormal")
-        basis = _fix_signs(basis)  # a new array that no caller holds
+        self._store(ambient_dim, _fix_signs(basis))  # a new array that no caller holds
+
+    @classmethod
+    def _of(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """Unchecked: ``basis`` is orthonormal, sign-canonical (``_fix_signs``
+        leaves it unchanged), C-ordered, and held by no caller."""
+        self = object.__new__(cls)
+        self._store(ambient_dim, basis)
+        return self
+
+    def _store(self, ambient_dim: int, basis: np.ndarray):
         basis.setflags(write=False)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
@@ -163,15 +193,16 @@ class Subspace:
                     f"vector of shape {v.shape} does not live in R^{ambient_dim}"
                 )
         mat = np.column_stack(vs) if vs else np.zeros((ambient_dim, 0))
-        return cls(ambient_dim, orthonormal_columns(mat, tol), tol)
+        _check_finite(vectors=mat)
+        return column_space(mat, tol)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)))
+        return cls._of(ambient_dim, np.zeros((ambient_dim, 0)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
+        return cls._of(ambient_dim, np.eye(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -202,8 +233,8 @@ class Subspace:
             elif self.dim == n:
                 basis = np.zeros((n, 0))
             else:
-                basis = np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:]
-            object.__setattr__(self, "_complement", Subspace(n, basis))
+                basis = _fix_signs(np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:])
+            object.__setattr__(self, "_complement", Subspace._of(n, basis))
         return self._complement
 
     def contains(self, v, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -254,8 +285,7 @@ def _check_same_ambient(u: Subspace, v: Subspace):
 def minkowski_sum(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """The subspace U + V = {u + v : u in U, v in V}."""
     _check_same_ambient(u, v)
-    stacked = np.hstack([u.basis, v.basis])
-    return Subspace(u.ambient_dim, orthonormal_columns(stacked, tol), tol)
+    return column_space(np.hstack([u.basis, v.basis]), tol)
 
 
 def intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -289,17 +319,19 @@ def image(a, u: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     if u.dim == 0:
         return Subspace.zero(a.shape[0])
     scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    return Subspace(a.shape[0], orthonormal_columns(a @ u.basis, tol, scale), tol)
+    return column_space(a @ u.basis, tol, scale)
 
 
 def column_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
     """The column space (range) of a matrix.
 
     ``scale`` optionally anchors the rank cutoff to a known data
-    magnitude; see :func:`orthonormal_columns`.
+    magnitude; see :func:`orthonormal_columns`.  Raises
+    :class:`NonFiniteInput` on a NaN or infinite entry.
     """
     a = _as_float_matrix(a)
-    return Subspace(a.shape[0], orthonormal_columns(a, tol, scale), tol)
+    _check_finite(matrix=a)
+    return Subspace._of(a.shape[0], orthonormal_columns(a, tol, scale))
 
 
 def product(u: Subspace, v: Subspace) -> Subspace:
@@ -308,7 +340,7 @@ def product(u: Subspace, v: Subspace) -> Subspace:
     basis = np.zeros((n + m, u.dim + v.dim))
     basis[:n, : u.dim] = u.basis
     basis[n:, u.dim:] = v.basis
-    return Subspace(n + m, basis)
+    return Subspace._of(n + m, basis)
 
 
 def structured_complement(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,12 +136,15 @@ class TestRun:
     def test_overflowing_posterior_is_an_error(self, tmp_path, capsys, as_json):
         path = tmp_path / "overflow.gx"
         path.write_text("x ~ normal(0, 1); y = 1e308*x + 1e308*x; return y")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second line
             code = main(["run", str(path)] + (["--json"] if as_json else []))
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: posterior is not finite" in captured.err
+        assert captured.err == (
+            f"{path}:1:19: expression for 'y' has a non-finite coefficient of 'x'\n"
+        )
 
     @pytest.mark.parametrize(
         "source, message",
@@ -152,14 +156,31 @@ class TestRun:
             (
                 "x ~ normal(0, 1); y = 1e308*x + 1e308*x; z ~ normal(0, 1); "
                 "observe z == y; return z",
-                ":1:60: observation or distribution has a NaN or infinite entry",
+                ":1:19: expression for 'y' has a non-finite coefficient of 'x'",
+            ),
+            (
+                "x ~ normal(0, 1); observe 1e308*x == 0 - 1e308*x; return x",
+                ":1:19: observed residual has a non-finite coefficient of 'x'",
+            ),
+            (
+                "x ~ normal(0, 1); observe x + 1e308 == x - 1e308; return x",
+                ":1:19: observed residual has a non-finite constant",
+            ),
+            (
+                "x ~ normal(0, 1e300); y = 1e300*x; return y",
+                ":1:23: cov has a NaN or infinite entry",
+            ),
+            (
+                "x ~ normal(0, 1e300); y ~ normal(0, 1); observe 1e10*x == y; return x",
+                ":1:41: cov has a NaN or infinite entry",
             ),
         ],
     )
     def test_non_finite_input_is_an_error(self, tmp_path, capsys, source, message):
         path = tmp_path / "overflow.gx"
         path.write_text(source)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second line
             code = main(["run", str(path), "--json"])
         assert code == 1
         captured = capsys.readouterr()
@@ -202,9 +223,8 @@ class TestDemo:
             report = interpret(program, tol)
             post = report.posterior
             mean = np.full_like(post.mean, np.nan)
-            return PosteriorReport(
-                report.variables, ExtendedGaussian(post.nondet, mean, post.cov), tol.eq_abs_tol
-            )
+            post = ExtendedGaussian._from_normal(post.dec, post.nondet, post.lin, (mean, post.cov))
+            return PosteriorReport(report.variables, post, tol.eq_abs_tol)
 
         monkeypatch.setattr("extgauss.cli.interpret", nan_interpret)
         argv = ["demo", "exact-equality"] + (["--json"] if as_json else [])

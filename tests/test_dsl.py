@@ -167,13 +167,23 @@ class TestInterpret:
         assert str(err.value).startswith("2:1")
 
     def test_non_finite_observation_carries_location(self):
+        # the overflow is caught where the assignment lowers it, not at the
+        # observation that would first read it
         program = parse(
             "x ~ normal(0, 1)\ny = 1e308*x + 1e308*x\nz ~ normal(0, 1)\n"
             "observe z == y\nreturn z"
         )
         with np.errstate(all="ignore"), pytest.raises(NonFiniteInput) as err:
             interpret(program)
-        assert str(err.value).startswith("4:1: ")
+        assert str(err.value).startswith("2:1: ")
+
+    def test_non_finite_marginal_carries_return_location(self, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise NonFiniteInput("cov has a NaN or infinite entry")
+
+        monkeypatch.setattr("extgauss.dsl.marginal", overflowing)
+        with pytest.raises(NonFiniteInput, match="^2:8: cov has a NaN or infinite entry$"):
+            interpret(parse("x ~ normal(0, 1)\nreturn x"))
 
     def test_tolerance_is_reported(self):
         tol = Tolerance(eq_abs_tol=1e-6)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,17 @@ class TestExactConditioning:
         psi = ExtendedGaussian._from_normal(psi.dec, psi.nondet, psi.lin, (mean, cov))
         with pytest.raises(NonFiniteInput, match="NaN or infinite"):
             observe(psi, obs, value)
+
+    def test_overflowing_observed_quantity_is_rejected(self):
+        # finite inputs whose joint with obs @ x overflows: a typed error,
+        # not an SVD that fails to converge, and no numpy warning
+        psi = gaussian([0.0, 0.0], np.diag([1e300, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="^cov has a NaN or infinite entry$"):
+                observe(psi, [[1e10, -1.0]], [0.0])
+            with pytest.raises(NonFiniteInput, match="^mean has a NaN or infinite entry$"):
+                E.translate(gaussian([1e308, 0.0], np.eye(2)), np.array([1e308, 0.0]))
 
     def test_feasibility_scale_anchoring(self):
         # residual variance twelve orders below the joint scale is not support
@@ -606,6 +618,8 @@ class TestGraphSplit:
         h, h_sub, d_x, u = graph_decompose(d, 1, Tolerance(rank_rel_tol=1e-2))
         assert (d_x.dim, h_sub.dim, u.dim) == (0, 1, 1)
         np.testing.assert_array_equal(h, [[0.0]])
+        # the split's subspaces are built unchecked, so test the basis itself
+        np.testing.assert_allclose(h_sub.basis.T @ h_sub.basis, np.eye(1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("nx, dim", [(0, 2), (3, 0), (0, 0)])
     def test_empty_x_block_closed_forms(self, nx, dim, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from extgauss.subspace import (
     DEFAULT_TOL,
+    NonFiniteInput,
     NotComplementary,
     Subspace,
     Tolerance,
@@ -20,7 +21,7 @@ from extgauss.subspace import (
     pseudoinverse,
     structured_complement,
 )
-from extgauss.subspace import _fix_signs
+from extgauss.subspace import _fix_signs, _is_orthonormal
 
 from _gen import nullspace_oracle, random_subspace, rank_oracle
 
@@ -427,7 +428,10 @@ class TestFastPaths:
             basis = np.array([[1.0, 0.0], [0.0, bad], [0.0, 0.0]])
             with np.errstate(invalid="ignore"):
                 assert not np.allclose(basis.T @ basis, np.eye(2))
-                assert not _accepts(basis, 1e-8)
+                assert not _is_orthonormal(basis, 1e-8)
+            # the constructor rejects it before the Gram test, by name
+            with pytest.raises(NonFiniteInput, match="^basis has a NaN or infinite entry$"):
+                Subspace(3, basis)
         assert _accepts(np.zeros((3, 0)), 1e-8)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
