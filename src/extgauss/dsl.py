@@ -12,8 +12,8 @@ may optionally separate statements)::
 Expressions are affine combinations by construction.  ``observe e1 == e2``
 conditions the model on the exact linear event e1 - e2 = 0.  The
 interpreter maintains one joint extended Gaussian over all live variables
-and applies observations eagerly, in program order; for jointly feasible
-observations the posterior does not depend on that order.
+and conditions on all observations at once, after the last statement; for
+jointly feasible observations the posterior does not depend on their order.
 """
 
 from __future__ import annotations
@@ -426,24 +426,24 @@ class PosteriorReport:
         }
 
 
-def _lower_expr(expr: Expr, names: list, what: str) -> tuple[np.ndarray, float]:
+def _lower_expr(expr: Expr, index: dict, what: str) -> tuple[np.ndarray, float]:
     """Affine expression over the live variables: (coefficients, constant)."""
-    coeffs = np.zeros(len(names))
+    coeffs = np.zeros(len(index))
     const = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for term in expr.terms:
             if term.var is None:
                 const += term.coeff
             else:
-                coeffs[names.index(term.var)] += term.coeff
-    return _finite_affine(coeffs, const, names, what)
+                coeffs[index[term.var]] += term.coeff
+    return _finite_affine(coeffs, const, index, what)
 
 
-def _finite_affine(coeffs, const, names: list, what: str) -> tuple[np.ndarray, float]:
+def _finite_affine(coeffs, const, index: dict, what: str) -> tuple[np.ndarray, float]:
     """``(coeffs, const)``, or :class:`NonFiniteInput` naming what overflowed."""
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
-        raise NonFiniteInput(f"{what} has a non-finite coefficient of {names[bad[0]]!r}")
+        raise NonFiniteInput(f"{what} has a non-finite coefficient of {list(index)[bad[0]]!r}")
     if not np.isfinite(const):
         raise NonFiniteInput(f"{what} has a non-finite constant")
     return coeffs, const
@@ -458,13 +458,68 @@ def _located(node):
         raise type(exc)(f"{node.line}:{node.col}: {exc}") from exc
 
 
+def _step(state: ExtendedGaussian, stmt, index: dict, pending: list, tol: Tolerance):
+    """Run one statement: defer an observation to ``pending`` as ``(statement,
+    residual row, value)``, or tensor in a variable and, if its mean reads
+    live ones, shear it in."""
+    n = len(index)
+    with _located(stmt):
+        if isinstance(stmt, Observe):
+            lc, l0 = _lower_expr(stmt.lhs, index, "left-hand side")
+            rc, r0 = _lower_expr(stmt.rhs, index, "right-hand side")
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                c, v = lc - rc, r0 - l0
+            pending.append((stmt, *_finite_affine(c, v, index, "observed residual")))
+            return state
+        dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
+        if isinstance(dist, UniformDist):
+            coeffs, fresh = np.zeros(n), uniform(1)
+        else:
+            coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
+            fresh = gaussian([const], [[dist.variance]], tol)
+        state = tensor(state, fresh, tol)
+        if np.any(coeffs):
+            shear = np.eye(n + 1)
+            shear[n, :n] = coeffs
+            state = pushforward(shear, state, tol)
+    index[stmt.name] = n
+    return state
+
+
+def _observe_all(state: ExtendedGaussian, pending: list, tol: Tolerance) -> ExtendedGaussian:
+    """Condition on the pending ``(statement, row, value)`` in one stacked
+    :func:`observe`, the rows zero-padded.  On failure, bisect for the
+    shortest failing prefix (prefix feasibility is monotone) and raise at
+    its last statement; an overflow there is retried after the rows before
+    it, as in program order."""
+    obs = np.array([np.concatenate((r, np.zeros(state.dim - r.size))) for _, r, _ in pending])
+    value = np.array([v for _, _, v in pending])
+    try:
+        return observe(state, obs, value, tol)
+    except (InfeasibleObservation, NonFiniteInput) as exc:
+        ok, bad, err = 0, len(pending), exc  # the prefix of length ``ok`` passes
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            observe(state, obs[:mid], value[:mid], tol)
+            ok = mid
+        except (InfeasibleObservation, NonFiniteInput) as exc:
+            bad, err = mid, exc
+    if ok and isinstance(err, NonFiniteInput):
+        return _observe_all(_observe_all(state, pending[:ok], tol), pending[ok:], tol)
+    with _located(pending[ok][0]):
+        raise err
+
+
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
     """Run a program and return the posterior over its returned variables.
 
     The joint state over all live variables is one extended Gaussian.
     Sampling and assignment (a sample of variance 0) tensor in a fresh
     coordinate and, when its mean depends on live variables, shear it in;
-    observation conditions exactly.
+    observations wait for one stacked :func:`observe` after the last
+    statement (a statement that overflows conditions on them first and is
+    run once more).
     An infeasible observation raises :class:`InfeasibleObservation`; a
     coefficient, constant or value that overflows raises
     :class:`NonFiniteInput` at the statement that made it, before numpy
@@ -472,33 +527,20 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     the final marginal, the first returned variable's).
     """
     typecheck(program)
-    names: list = []
+    index: dict = {}  # name -> coordinate
+    pending: list = []
     state = ExtendedGaussian(Subspace.zero(0), np.zeros(0), np.zeros((0, 0)), tol)
     for stmt in program.statements:
-        with _located(stmt):
-            if isinstance(stmt, (Sample, Assign)):
-                n = len(names)
-                dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
-                if isinstance(dist, UniformDist):
-                    coeffs, fresh = np.zeros(n), uniform(1)
-                else:
-                    coeffs, const = _lower_expr(dist.mean, names, f"expression for {stmt.name!r}")
-                    fresh = gaussian([const], [[dist.variance]], tol)
-                state = tensor(state, fresh, tol)
-                if np.any(coeffs):
-                    shear = np.eye(n + 1)
-                    shear[n, :n] = coeffs
-                    state = pushforward(shear, state, tol)
-                names.append(stmt.name)
-            else:
-                lc, l0 = _lower_expr(stmt.lhs, names, "left-hand side")
-                rc, r0 = _lower_expr(stmt.rhs, names, "right-hand side")
-                with np.errstate(over="ignore", invalid="ignore"):  # checked next
-                    c, v = lc - rc, r0 - l0
-                c, v = _finite_affine(c, v, names, "observed residual")
-                state = observe(state, c.reshape(1, -1), [v], tol)
+        try:
+            state = _step(state, stmt, index, pending, tol)
+        except NonFiniteInput:  # observing first, as in program order, may avoid it
+            if not pending:
+                raise
+            state, pending = _observe_all(state, pending, tol), []
+            state = _step(state, stmt, index, pending, tol)
+    state = _observe_all(state, pending, tol) if pending else state
     with _located(program.returns[0]):
-        posterior = marginal(state, [names.index(i.name) for i in program.returns], tol)
+        posterior = marginal(state, [index[i.name] for i in program.returns], tol)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

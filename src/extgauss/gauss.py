@@ -20,7 +20,6 @@ from .subspace import (
     column_space,
     image,
     minkowski_sum,
-    pseudoinverse,
 )
 
 
@@ -217,10 +216,13 @@ def _conditional(lin, mean, cov, nx: int, tol: Tolerance):
     s_yx = cov[nx:, :nx]
     s_xy = cov[:nx, nx:]
     s_yy = cov[nx:, nx:]
-    gain = s_yx @ pseudoinverse(s_xx, tol)
     # the Schur complement is a difference of input-scale quantities, so
-    # its rounding defects are judged at the input's magnitude
+    # its rounding defects are judged at the input's magnitude; so are the
+    # X-variances, whose inverse would turn rounding residue into gain
     scale = float(np.max(np.abs(cov))) if cov.size else 0.0
+    w, v = np.linalg.eigh(s_xx)
+    keep = w > max(tol.rank_rel_tol * w.max(initial=0.0), np.finfo(float).eps * len(cov) * scale)
+    gain = (s_yx @ v[:, keep] / w[keep]) @ v[:, keep].T
     schur = psd_normalize(s_yy - gain @ s_xy, tol, scale=scale)
     return np.hstack([gain, a_y - gain @ a_x]), mu_y - gain @ mu_x, schur
 

@@ -309,9 +309,10 @@ def image(a, u: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
     The rank cutoff is taken relative to the operator norm of A, so a
     matrix that annihilates U yields the zero subspace instead of a basis
-    of rounding noise.
+    of rounding noise.  Raises :class:`NonFiniteInput` on NaN or Inf in A.
     """
     a = _as_float_matrix(a)
+    _check_finite(a=a)
     if a.shape[1] != u.ambient_dim:
         raise ValueError(
             f"matrix with {a.shape[1]} columns applied to subspace of R^{u.ambient_dim}"

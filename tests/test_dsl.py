@@ -21,6 +21,8 @@ from extgauss.dsl import (
 from extgauss.extended import ExtendedGaussian, InfeasibleObservation, NonFiniteInput
 from extgauss.subspace import Subspace, Tolerance
 
+from test_extended import _max_gap, _reference_interpret
+
 EXAMPLE_2_1 = (
     "x1 ~ normal(0,1); x2 ~ normal(0,1); y ~ uniform(); "
     "z1 = x1 + y; z2 = x2 + y; return z1, z2"
@@ -305,6 +307,172 @@ class TestInterpreterEquivalence:
         one = interpret(parse(base + "\n".join(obs) + "\nreturn a, b, u"))
         two = interpret(parse(base + "\n".join(reversed(obs)) + "\nreturn a, b, u"))
         assert one.posterior.equals(two.posterior, Tolerance(eq_abs_tol=1e-7))
+
+
+def _affine_text(rng, names, truth, count):
+    """A random affine expression over ``count`` distinct names (constant
+    first: the grammar has no unary minus) and its value at ``truth``."""
+    const = float(rng.integers(0, 4))
+    text, value = repr(const), const
+    for j in rng.choice(len(names), size=min(count, len(names)), replace=False):
+        coeff = float(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+        text += f" {'-' if coeff < 0 else '+'} {abs(coeff)!r}*{names[j]}"
+        value += coeff * truth[names[j]]
+    return text, float(value)
+
+
+def _literal(x: float) -> str:
+    x = float(x)
+    return repr(x) if x >= 0 else f"0 - {-x!r}"
+
+
+def _random_observed_source(rng, conflicts=0, overflows=0):
+    """A random program of samples, uniforms, assignments and observations,
+    one statement per line, and the first error it must raise.
+
+    Every observation holds at one simulated draw, so together they are
+    feasible.  Each of ``conflicts`` repeats an earlier observation at a
+    value off by one (infeasible); each of ``overflows`` is an assignment or
+    an observation whose coefficient overflows.  Unit-scale variances and
+    coefficients keep every rank decision far from the cutoff.  Returns
+    ``(source, error)``, ``error`` being ``(exception type, line)`` or None.
+    """
+    lines, names, truth, observed, error = [], [], {}, [], None
+    extra = ["conflict"] * conflicts + ["overflow"] * overflows
+    for i in range(int(rng.integers(2, 9))):
+        name = f"v{i}"
+        kind = rng.choice(["normal", "uniform", "assign"] if names else ["normal", "uniform"])
+        if kind == "uniform":
+            lines.append(f"{name} ~ uniform()")
+            truth[name] = float(rng.uniform(-2.0, 2.0))
+        elif kind == "normal":
+            mean, value = _affine_text(rng, names, truth, int(rng.integers(0, 3)))
+            variance = float(rng.choice([0.5, 1.0, 2.0]))
+            lines.append(f"{name} ~ normal({mean}, {variance!r})")
+            truth[name] = value + np.sqrt(variance) * float(rng.standard_normal())
+        else:
+            expr, truth[name] = _affine_text(rng, names, truth, int(rng.integers(1, 3)))
+            lines.append(f"{name} = {expr}")
+        names.append(name)
+        while rng.random() < 0.5:
+            lhs, value = _affine_text(rng, names, truth, int(rng.integers(1, 4)))
+            lines.append(f"observe {lhs} == {_literal(value)}")
+            observed.append((lhs, value))
+        if extra and rng.random() < 0.3 and (observed or "overflow" in extra):
+            what = extra.pop(int(rng.integers(0, len(extra))))
+            if what == "conflict" and not observed:
+                what = extra.pop(extra.index("overflow"))
+                extra.append("conflict")
+            if what == "conflict":
+                lhs, value = observed[int(rng.integers(0, len(observed)))]
+                lines.append(f"observe {lhs} == {_literal(value + 1.0)}")
+                raised = InfeasibleObservation
+            elif rng.random() < 0.5:
+                lines.append(f"w{i} = 1e308*{name} + 1e308*{name}")
+                raised = NonFiniteInput
+            else:
+                lines.append(f"observe 1e308*{name} == 0 - 1e308*{name}")
+                raised = NonFiniteInput
+            error = error or (raised, len(lines))
+    returned = rng.choice(names, size=int(rng.integers(1, min(3, len(names)) + 1)), replace=False)
+    lines.append("return " + ", ".join(returned))
+    return "\n".join(lines) + "\n", error
+
+
+def _outcome(run, program):
+    """The posterior report, or the raised error's type and message."""
+    try:
+        return run(program)
+    except (InfeasibleObservation, NonFiniteInput) as exc:
+        return type(exc), str(exc)
+
+
+# Programs whose inference overflows, infeasible programs whose first
+# failure must be found among several pending observations, and programs
+# where observing first, in program order, keeps a definition finite.
+OVERFLOW_AND_INFEASIBLE = [
+    ("x ~ normal(0, 1e300); observe x == 0; y = 1e300*x; return y", None),
+    ("x ~ normal(0, 1e300); y ~ normal(0, 1); observe 1e10*x == y; return x",
+     (NonFiniteInput, "1:41: cov has a NaN or infinite entry")),
+    ("x = 0\nobserve x == 0\na ~ normal(0,1)\nobserve a == 2\nobserve x == 1\n"
+     "observe a == 3\nreturn x", (InfeasibleObservation, "5:1: ")),
+    ("x ~ normal(0, 1e300); y = 1e300*x; return y",
+     (NonFiniteInput, "1:23: cov has a NaN or infinite entry")),
+    ("x ~ normal(0, 1e300); observe x == 0; observe 1e10*x == 0; return x", None),
+    ("x ~ normal(0, 1e300); observe x == 0; observe 1e10*x == 0; y = 1e300*x; return y", None),
+    ("x ~ normal(0, 1e300); z = 0; observe z == 1; y = 1e300*x; return y",
+     (InfeasibleObservation, "1:30: ")),
+    ("x ~ normal(0, 1e300); observe x == 1; z ~ normal(0, 1); observe 1e10*x == z; return z",
+     None),
+    ("a = 1; b = 2; observe a == 1; observe b == 2; observe a + b == 3; observe b == 1; "
+     "observe a == 0; return a", (InfeasibleObservation, "1:67: ")),
+]
+
+
+class TestDeferredObservations:
+    """The interpreter defers every observation to one stacked observe; the
+    sequential reference conditions at each observation.  They must agree."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_sequential_reference(self, seed):
+        rng = np.random.default_rng(8200 + seed)
+        source, error = _random_observed_source(rng)
+        assert error is None
+        program = parse(source)
+        got, expected = interpret(program), _reference_interpret(program)
+        assert got.variables == expected.variables
+        assert _max_gap(got.posterior, expected.posterior) <= 1e-9, source
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_error_matches_sequential_reference(self, seed):
+        rng = np.random.default_rng(8300 + seed)
+        source, error = _random_observed_source(
+            rng, conflicts=int(rng.integers(0, 3)), overflows=int(rng.integers(0, 3)))
+        program = parse(source)
+        got, expected = _outcome(interpret, program), _outcome(_reference_interpret, program)
+        if error is None:
+            assert _max_gap(got.posterior, expected.posterior) <= 1e-9, source
+            return
+        kind, line = error
+        assert isinstance(got, tuple) and isinstance(expected, tuple), source
+        assert got[0] is expected[0] is kind, source
+        assert got[1].split(": ")[0] == expected[1].split(": ")[0] == f"{line}:1", source
+
+    @pytest.mark.parametrize("source, error", OVERFLOW_AND_INFEASIBLE)
+    def test_overflow_and_infeasible_programs(self, source, error):
+        program = parse(source)
+        got, expected = _outcome(interpret, program), _outcome(_reference_interpret, program)
+        if error is None:
+            assert _max_gap(got.posterior, expected.posterior) <= 1e-9
+            return
+        assert got == expected
+        assert got[0] is error[0] and got[1].startswith(error[1])
+
+    def test_overflow_after_an_observation_is_avoided(self):
+        report = interpret(parse("x ~ normal(0, 1e300); observe x == 0; y = 1e300*x; return y"))
+        assert report.posterior.equals(E.dirac([0.0]))
+
+    def test_one_observe_per_program(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("extgauss.dsl.observe", lambda *a: calls.append(a) or E.observe(*a))
+        source = "u ~ uniform()\n" + "".join(
+            f"x{i} ~ normal(u, 1)\nobserve x{i} == {i}\n" for i in range(8)) + "return u"
+        interpret(parse(source))
+        assert len(calls) == 1
+
+    def test_rank_decisions_are_relative_to_the_whole_program(self):
+        # a diffuse variable sets the covariance scale of the stacked
+        # observation, wherever it is defined: a unit-scale observation
+        # then looks deterministic and off its support
+        before = "w ~ normal(0, 1e12)\nx ~ normal(0, 1)\nobserve x == 1\nreturn x"
+        after = "x ~ normal(0, 1)\nobserve x == 1\nw ~ normal(0, 1e12)\nreturn x"
+        for source, line in ((before, "3:1"), (after, "2:1")):
+            with pytest.raises(InfeasibleObservation, match=f"^{line}: "):
+                interpret(parse(source))
+        # conditioning in program order sees only the prefix's scale
+        with pytest.raises(InfeasibleObservation, match="^3:1: "):
+            _reference_interpret(parse(before))
+        assert _reference_interpret(parse(after)).posterior.equals(E.dirac([1.0]))
 
 
 class TestPretty:

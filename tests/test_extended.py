@@ -8,6 +8,19 @@ from extgauss import decorated
 from extgauss import extended as E
 from extgauss import gauss
 from extgauss.decorated import DecoratedRelation, congruent
+from extgauss.dsl import (
+    Assign,
+    NormalDist,
+    PosteriorReport,
+    Sample,
+    UniformDist,
+    _finite_affine,
+    _located,
+    _lower_expr,
+    interpret,
+    parse,
+    typecheck,
+)
 from extgauss.extended import (
     ExtendedGaussian,
     ExtendedGaussianMap,
@@ -519,6 +532,40 @@ def _reference_observe(psi, obs, value, tol=DEFAULT_TOL):
     return as_distribution(E.compose(E.conditional(joint, k, tol), dirac(value), tol))
 
 
+def _reference_interpret(program, tol=DEFAULT_TOL):
+    """The sequential interpreter: each statement acts on the joint state
+    in program order, and each observation conditions it where it stands."""
+    typecheck(program)
+    index = {}
+    state = ExtendedGaussian(Subspace.zero(0), np.zeros(0), np.zeros((0, 0)), tol)
+    for stmt in program.statements:
+        with _located(stmt):
+            if isinstance(stmt, (Sample, Assign)):
+                n = len(index)
+                dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
+                if isinstance(dist, UniformDist):
+                    coeffs, fresh = np.zeros(n), uniform(1)
+                else:
+                    coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
+                    fresh = gaussian([const], [[dist.variance]], tol)
+                state = E.tensor(state, fresh, tol)
+                if np.any(coeffs):
+                    shear = np.eye(n + 1)
+                    shear[n, :n] = coeffs
+                    state = E.pushforward(shear, state, tol)
+                index[stmt.name] = n
+            else:
+                lc, l0 = _lower_expr(stmt.lhs, index, "left-hand side")
+                rc, r0 = _lower_expr(stmt.rhs, index, "right-hand side")
+                with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                    c, v = lc - rc, r0 - l0
+                c, v = _finite_affine(c, v, index, "observed residual")
+                state = observe(state, c.reshape(1, -1), [v], tol)
+    with _located(program.returns[0]):
+        posterior = E.marginal(state, [index[i.name] for i in program.returns], tol)
+    return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
+
+
 def _relative_gap(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
@@ -661,6 +708,20 @@ class TestObserveAtAPoint:
         for path in (observe, _reference_observe):
             with pytest.raises(InfeasibleObservation):
                 path(psi, obs, value)
+
+    def test_redundant_rows_on_the_nondeterminism(self):
+        # two proportional rows that read only a nondeterministic coordinate:
+        # their covariance is rounding residue of the normal form, which a
+        # pseudoinverse relative to its own scale turns into a gain (NotPSD)
+        psi = interpret(parse(
+            "v0 ~ uniform(); v1 ~ normal(3, 2); v2 ~ uniform(); "
+            "v3 ~ normal(2 - 0.5*v1 + 2*v2, 1); v4 = 3 + v2; return v0, v1, v2, v3, v4"
+        )).posterior
+        obs = np.zeros((2, 5))
+        obs[:, 0] = [-1.0, 0.5]
+        both = observe(psi, obs, [-0.25, 0.125])
+        assert _max_gap(both, observe(psi, obs[:1], [-0.25])) <= 1e-12
+        assert _max_gap(both, _reference_observe(psi, obs, [-0.25, 0.125])) <= 1e-12
 
     def test_builds_no_marginal_dirac_or_composition(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -131,6 +131,15 @@ class TestConditional:
         np.testing.assert_allclose(posterior_mean, [0.0], atol=1e-12)
         np.testing.assert_allclose(g.cov, [[0.5]], atol=1e-12)
 
+    def test_x_variance_at_rounding_level_is_zero(self):
+        # an X-block far below the rounding level of the joint carries no
+        # information: its pseudoinverse would be an arbitrarily large gain
+        cov = np.diag([1e-64, 1e-65, 1.0])
+        cov[2, :2] = cov[:2, 2] = 1e-33
+        g = gauss.conditional(distribution([0.0, 0.0, 0.0], cov), 2)
+        np.testing.assert_array_equal(g.lin, np.zeros((1, 2)))
+        np.testing.assert_allclose(g.cov, [[1.0]], atol=1e-15)
+
     @pytest.mark.parametrize("seed", range(200))
     def test_reconstruction_random(self, seed):
         rng = np.random.default_rng(1000 + seed)

@@ -13,23 +13,25 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when the graph decomposition of a conditional
-# began to come from one SVD and observe stopped building its joint through
-# the public constructor (the count before was 181; 312 before covariances
+# Measured for this program when the interpreter began to defer every
+# observation to one stacked observe at the end (148 before; 181 before the
+# graph decomposition of a conditional came from one SVD and observe stopped
+# building its joint through the public constructor; 312 before covariances
 # were checked for PSD only where they enter and in the Schur complement of
 # a conditional, 376 before conditionals removed the nondeterminism with the
 # projector from the graph decomposition, 535 before extended Gaussian maps
 # became decorated relations, and 1,080 before the complement of a subspace
 # became a write-once cache).  Lower it when a change saves more.
-MAX_FACTORIZATIONS = 148
+MAX_FACTORIZATIONS = 146
 
-# Measured for the regression program below with the same change (121
-# before, 179 before the PSD change, 239 before the graph-decomposition
-# conditional).
-MAX_FLATREG_FACTORIZATIONS = 73
+# Measured for the regression program below with the same change (73
+# before, 121 before the one-SVD graph decomposition, 179 before the PSD
+# change, 239 before the graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 43
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
-# directions with the same change (22 before, 32 before the PSD change).
+# directions when the graph decomposition came from one SVD (22 before, 32
+# before the PSD change).
 MAX_OBSERVE_FACTORIZATIONS = 10
 
 # Every numpy.linalg factorization, so that moving work from one onto

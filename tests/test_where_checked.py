@@ -251,6 +251,10 @@ class TestPublicBoundary:
         (lambda x: ExtendedGaussian.from_dict(
             {"dim": 1, "mean": [0.0], "cov": [[x]], "nondet_basis": []}), "cov"),
         (lambda x: PrecisionRep(Subspace.full(1), [[x]]), "form"),
+        (lambda x: image([[x, 1.0]], Subspace.full(2)), "a"),
+        (lambda x: image([[x, 1.0]], Subspace.zero(2)), "a"),
+        (lambda x: E.pushforward([[x, 1.0]], E.uniform(2)), "a"),
+        (lambda x: E.pushforward([[x, 1.0]], E.gaussian([0.0, 0.0], np.eye(2))), "a"),
     ])
     def test_non_finite_rejected_by_name(self, build, name, bad):
         with pytest.raises(NonFiniteInput, match=f"^{name} has a NaN or infinite entry$"):
