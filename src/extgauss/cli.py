@@ -120,7 +120,7 @@ def _print_report(report: PosteriorReport, as_json: bool):
 
 
 def _load_program(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is no token
         return handle.read()
 
 
@@ -227,8 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

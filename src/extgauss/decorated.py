@@ -151,7 +151,7 @@ class CovDec(Decoration):
         # exactly symmetric, so sums of pushed forms need no re-symmetrizing
         matrix = np.asarray(matrix, dtype=float)
         s = matrix @ np.asarray(s, dtype=float) @ matrix.T
-        return (s + s.T) / 2.0
+        return 0.5 * s + 0.5 * s.T  # halving first cannot overflow
 
     def oplus(self, s, t):
         return _block_diag(np.asarray(s, dtype=float), np.asarray(t, dtype=float))

@@ -18,6 +18,8 @@ jointly feasible observations the posterior does not depend on their order.
 
 from __future__ import annotations
 
+import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -25,10 +27,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .extended import (
+    _DEC,
     ExtendedGaussian,
     InfeasibleObservation,
     NonFiniteInput,
-    gaussian,
     marginal,
     observe,
     pushforward,
@@ -140,212 +142,152 @@ class Program:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _token_regex(digit: str = "", not_alpha: str = "") -> re.Pattern:
+    r"""The master pattern: blanks, then one alternative per token kind.
+
+    A comment is consumed with the line break that ends it, or with the end
+    of input, whose token then sits at the ``#``.  A number starts at a
+    ``str.isdigit`` character and a name at a ``str.isalpha`` one or ``_``.
+    Regex ``\d`` is ``str.isdecimal``, which misses digits such as ``²``,
+    and ``[^\W\d]`` admits numeric non-letters such as ``²`` and ``½``:
+    ``digit`` and ``not_alpha`` list those of the text, so that both classes
+    are exact (:func:`_token_pattern`).
+    """
+    d = rf"\d{digit}"
+    return re.compile(
+        rf"""[ \t\r]*(?:
+            (?P<ident>[^\W\d{not_alpha}]\w*)
+          | (?P<symbol>==|[~=+\-*(),;])
+          | (?P<number>\.?[{d}][{d}.]*(?:[eE][+-]?[{d}]+)?)
+          | (?P<newline>(?:\#[^\n]*)?\n)
+          | (?P<eof>(?:\#[^\n]*)?\Z)
+          | (?P<bad>.))""",
+        re.VERBOSE,
+    )
 
 
-_SYMBOLS = ("==", "~", "=", "+", "-", "*", "(", ")", ",", ";")
+_ASCII_TOKEN = _token_regex()
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _token_pattern(text: str) -> re.Pattern:
+    if text.isascii():
+        return _ASCII_TOKEN
+    odd = sorted({c for c in text if c.isnumeric() and not (c.isdecimal() or c.isalpha())})
+    return _token_regex(re.escape("".join(filter(str.isdigit, odd))), re.escape("".join(odd)))
+
+
+def _tokenize(text: str) -> list[tuple]:
+    """``(kind, text, line, col)`` tuples from one pass of the master pattern,
+    ending with an ``eof`` token; a symbol's kind is its text.  Lines and
+    columns are 1-based and count characters.  Raises :class:`ParseError` on
+    a character no token starts with and on a number that is not finite."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            start = i
-            while i < len(text) and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            if i < len(text) and text[i] in "eE":
-                j = i + 1
-                if j < len(text) and text[j] in "+-":
-                    j += 1
-                if j < len(text) and text[j].isdigit():
-                    i = j
-                    while i < len(text) and text[i].isdigit():
-                        i += 1
-            word = text[start:i]
+    append = tokens.append
+    line, base = 1, -1  # base: the index before the line's first column
+    for m in _token_pattern(text).finditer(text):  # every position matches
+        kind = m.lastgroup
+        word = m[kind]
+        col = m.start(kind) - base
+        if kind == "ident":
+            append((kind, word, line, col))
+        elif kind == "symbol":
+            append((word, word, line, col))
+        elif kind == "number":
             try:
-                finite = bool(np.isfinite(float(word)))
+                finite = math.isfinite(float(word))
             except ValueError:
                 raise ParseError(f"malformed number {word!r}", line, col) from None
             if not finite:
                 raise ParseError(f"number {word!r} is not finite", line, col)
-            tokens.append(_Token("number", word, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            tokens.append(_Token("ident", word, line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            append((kind, word, line, col))
+        elif kind == "newline":
+            line, base = line + 1, m.end() - 1
+        elif kind == "eof":
+            append((kind, "", line, col))
+            return tokens
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+            raise ParseError(f"unexpected character {word!r}", line, col)
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser: recursive descent over the token list.  Each function takes the
+# index of its first token and returns the index after it.
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _expect(toks: list, i: int, kind: str) -> int:
+    found, text, line, col = toks[i]
+    if found != kind:
+        raise ParseError(f"expected {kind!r}, found {text or 'end of input'!r}", line, col)
+    return i + 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _name(toks: list, i: int) -> str:
+    kind, text, line, col = toks[i]
+    if kind != "ident" or text in RESERVED:
+        _expect(toks, i, "ident")
+        raise ParseError(f"{text!r} is a reserved word", line, col)
+    return text
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.next()
 
-    def expect_name(self) -> _Token:
-        tok = self.expect("ident")
-        if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-        return tok
+def _terms(toks: list, i: int, outer: float, out: list) -> int:
+    """Append the terms of the expression at ``i`` to ``out``, each times
+    ``outer`` (the sign of an enclosing parenthesis)."""
+    sign = outer
+    while True:
+        kind, text, line, col = toks[i]
+        if kind == "number":
+            if toks[i + 1][0] == "*":
+                i += 2
+                out.append(Term(sign * float(text), _name(toks, i), toks[i][2], toks[i][3]))
+            else:
+                out.append(Term(sign * float(text), None, line, col))
+        elif kind == "ident":
+            out.append(Term(sign, _name(toks, i), line, col))
+        elif kind == "(":
+            i = _terms(toks, i + 1, sign, out)
+            _expect(toks, i, ")")
+        else:
+            found = text or "end of input"
+            raise ParseError(f"expected a number, variable or '(', found {found!r}", line, col)
+        kind = toks[i + 1][0]
+        if kind != "+" and kind != "-":
+            return i + 1
+        sign = outer if kind == "+" else -outer
+        i += 2
 
-    def program(self) -> Program:
-        statements: list[Stmt] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise ParseError("missing 'return' at end of program", tok.line, tok.col)
-            if tok.kind == "ident" and tok.text == "return":
-                break
-            statements.append(self.statement())
-            self._skip_semi()
-        self.next()  # return
-        returns = [self._return_ident()]
-        while self.peek().kind == ",":
-            self.next()
-            returns.append(self._return_ident())
-        self._skip_semi()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(
-                f"unexpected {tok.text!r} after return statement", tok.line, tok.col
-            )
-        return Program(tuple(statements), tuple(returns))
 
-    def _return_ident(self) -> Ident:
-        tok = self.expect_name()
-        return Ident(tok.text, tok.line, tok.col)
+def _expr(toks: list, i: int) -> tuple[Expr, int]:
+    terms: list = []
+    end = _terms(toks, i, 1.0, terms)
+    return Expr(tuple(terms), toks[i][2], toks[i][3]), end
 
-    def _skip_semi(self):
-        while self.peek().kind == ";":
-            self.next()
 
-    def statement(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "observe":
-            self.next()
-            lhs = self.expr()
-            self.expect("==")
-            rhs = self.expr()
-            return Observe(lhs, rhs, tok.line, tok.col)
-        name = self.expect_name()
-        op = self.peek()
-        if op.kind == "~":
-            self.next()
-            return Sample(name.text, self.dist(), name.line, name.col)
-        if op.kind == "=":
-            self.next()
-            return Assign(name.text, self.expr(), name.line, name.col)
-        raise ParseError(
-            f"expected '~' or '=' after {name.text!r}", op.line, op.col
-        )
+def _dist(toks: list, i: int) -> tuple[Dist, int]:
+    _expect(toks, i, "ident")
+    _, text, line, col = toks[i]
+    if text == "normal":
+        mean, i = _expr(toks, _expect(toks, i + 1, "("))
+        i = _expect(toks, _expect(toks, i, ","), "number")
+        return NormalDist(mean, float(toks[i - 1][1]), line, col), _expect(toks, i, ")")
+    if text == "uniform":
+        return UniformDist(line, col), _expect(toks, _expect(toks, i + 1, "("), ")")
+    raise ParseError(f"expected 'normal' or 'uniform', found {text!r}", line, col)
 
-    def dist(self) -> Dist:
-        tok = self.expect("ident")
-        if tok.text == "normal":
-            self.expect("(")
-            mean = self.expr()
-            self.expect(",")
-            var_tok = self.expect("number")
-            self.expect(")")
-            return NormalDist(mean, float(var_tok.text), tok.line, tok.col)
-        if tok.text == "uniform":
-            self.expect("(")
-            self.expect(")")
-            return UniformDist(tok.line, tok.col)
-        raise ParseError(
-            f"expected 'normal' or 'uniform', found {tok.text!r}", tok.line, tok.col
-        )
 
-    def expr(self) -> Expr:
-        start = self.peek()
-        terms = list(self.term(1.0))
-        while self.peek().kind in ("+", "-"):
-            sign = 1.0 if self.next().kind == "+" else -1.0
-            terms.extend(self.term(sign))
-        return Expr(tuple(terms), start.line, start.col)
-
-    def term(self, sign: float) -> tuple[Term, ...]:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            value = float(tok.text)
-            if self.peek().kind == "*":
-                self.next()
-                name = self.expect_name()
-                return (Term(sign * value, name.text, name.line, name.col),)
-            return (Term(sign * value, None, tok.line, tok.col),)
-        if tok.kind == "ident":
-            name = self.expect_name()
-            return (Term(sign, name.text, name.line, name.col),)
-        if tok.kind == "(":
-            self.next()
-            inner = self.expr()
-            self.expect(")")
-            return tuple(
-                Term(sign * t.coeff, t.var, t.line, t.col) for t in inner.terms
-            )
-        raise ParseError(
-            f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
+def _statement(toks: list, i: int) -> tuple[Stmt, int]:
+    kind, text, line, col = toks[i]
+    if kind == "ident" and text == "observe":
+        lhs, i = _expr(toks, i + 1)
+        rhs, i = _expr(toks, _expect(toks, i, "=="))
+        return Observe(lhs, rhs, line, col), i
+    name, op = _name(toks, i), toks[i + 1]
+    if op[0] == "~":
+        dist, i = _dist(toks, i + 2)
+        return Sample(name, dist, line, col), i
+    if op[0] == "=":
+        expr, i = _expr(toks, i + 2)
+        return Assign(name, expr, line, col), i
+    raise ParseError(f"expected '~' or '=' after {name!r}", op[2], op[3])
 
 
 def parse(text: str) -> Program:
@@ -355,7 +297,29 @@ def parse(text: str) -> Program:
     malformed input.  Scope and shape violations are reported by
     :func:`typecheck`, not here.
     """
-    return _Parser(_tokenize(text)).program()
+    toks = _tokenize(text)
+    statements: list = []
+    i = 0
+    while True:
+        kind, word, line, col = toks[i]
+        if kind == "eof":
+            raise ParseError("missing 'return' at end of program", line, col)
+        if kind == "ident" and word == "return":
+            break
+        stmt, i = _statement(toks, i)
+        statements.append(stmt)
+        while toks[i][0] == ";":
+            i += 1
+    returns: list = []
+    while not returns or toks[i][0] == ",":  # "return" or "," before each name
+        returns.append(Ident(_name(toks, i + 1), toks[i + 1][2], toks[i + 1][3]))
+        i += 2
+    while toks[i][0] == ";":
+        i += 1
+    kind, word, line, col = toks[i]
+    if kind != "eof":
+        raise ParseError(f"unexpected {word!r} after return statement", line, col)
+    return Program(tuple(statements), tuple(returns))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +422,21 @@ def _located(node):
         raise type(exc)(f"{node.line}:{node.col}: {exc}") from exc
 
 
+_UNIFORM = uniform(1)  # immutable, and its one cache (the nondeterminism's complement) is full
+
+
+def _normal(mean: float, variance: float) -> ExtendedGaussian:
+    """``N(mean, variance)`` on R^1 as the checking constructor builds it,
+    without its checks: the projector is ``[[1.]]`` and a 1-by-1 matrix is
+    symmetric.  ``mean`` is finite (:func:`_finite_affine`) and ``variance``
+    nonnegative (:func:`typecheck`); a parsed variance is finite, a
+    hand-built one is checked here."""
+    if not math.isfinite(variance):
+        raise NonFiniteInput(f"variance {variance!r} is not finite")
+    noise = (np.array([mean]), np.array([[variance + 0.0]]))  # -0.0 to 0.0, as the constructor
+    return ExtendedGaussian._from_normal(_DEC, Subspace.zero(1), np.zeros((1, 0)), noise)
+
+
 def _step(state: ExtendedGaussian, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
     residual row, value)``, or tensor in a variable and, if its mean reads
@@ -473,10 +452,10 @@ def _step(state: ExtendedGaussian, stmt, index: dict, pending: list, tol: Tolera
             return state
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
         if isinstance(dist, UniformDist):
-            coeffs, fresh = np.zeros(n), uniform(1)
+            coeffs, fresh = np.zeros(n), _UNIFORM
         else:
             coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
-            fresh = gaussian([const], [[dist.variance]], tol)
+            fresh = _normal(const, dist.variance)
         state = tensor(state, fresh, tol)
         if np.any(coeffs):
             shear = np.eye(n + 1)

@@ -285,6 +285,8 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     # anchor the support's rank cutoff at the joint's covariance scale so
     # that rounding residue from earlier conditioning cannot fake support
     cov_scale = float(np.linalg.norm(cov, 2)) if cov.size else 0.0
+    if not np.isfinite(cov_scale):  # finite entries such as 1e308 can overflow it
+        raise NonFiniteInput("joint covariance has an infinite norm")
     supp = minkowski_sum(column_space(cov[:k, :k], tol, scale=cov_scale), split[2], tol)
     resid = value - mean[:k]
     off = resid - supp.basis @ (supp.basis.T @ resid)

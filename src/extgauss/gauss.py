@@ -53,7 +53,7 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     bound = tol.eq_abs_tol * max(1.0, scale, float(np.max(np.abs(cov))))
     if float(np.max(np.abs(cov - cov.T))) > bound:
         raise NotPSD("covariance is not symmetric within tolerance")
-    cov = (cov + cov.T) / 2.0
+    cov = 0.5 * cov + 0.5 * cov.T  # halving first cannot overflow
     eigvals = np.linalg.eigvalsh(cov)
     smallest = float(eigvals[0])
     if smallest < -bound:
@@ -61,7 +61,7 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     if smallest < 0.0:
         vals, vecs = np.linalg.eigh(cov)
         cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        cov = (cov + cov.T) / 2.0
+        cov = 0.5 * cov + 0.5 * cov.T
     return cov
 
 

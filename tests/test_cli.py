@@ -100,6 +100,23 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "utf-8" in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, command):
+        path = tmp_path / "bom.gx"
+        path.write_bytes(b"\xef\xbb\xbf" + EXACT.encode())
+        assert main([command, str(path)]) == 0
+        expected = f"ok: {path}\n" if command == "check" else "variables: x\n"
+        assert expected in capsys.readouterr().out
+
+    def test_large_variance_is_returned(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows, so symmetrizing as (c + c.T) / 2 made it inf
+        path = tmp_path / "large.gx"
+        path.write_text("x ~ normal(0, 1e308)\nreturn x\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cov"] == [[1e308]]
+
     def test_tol_flag(self, exact_file, capsys):
         assert main(["run", exact_file, "--json", "--tol", "1e-6"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -173,6 +190,16 @@ class TestRun:
             (
                 "x ~ normal(0, 1e300); y ~ normal(0, 1); observe 1e10*x == y; return x",
                 ":1:41: cov has a NaN or infinite entry",
+            ),
+            (
+                "x ~ normal(0, 1e308); y = x + x; return y",
+                ":1:23: cov has a NaN or infinite entry",
+            ),
+            (
+                # the entries are finite, but not the norm of the joint covariance
+                # of (x, x), which scales the support's rank decision
+                "x ~ normal(0, 1e308); observe x == 1; return x",
+                ":1:23: joint covariance has an infinite norm",
             ),
         ],
     )

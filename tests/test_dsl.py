@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extgauss import extended as E
 from extgauss.dsl import (
@@ -186,6 +188,21 @@ class TestInterpret:
         monkeypatch.setattr("extgauss.dsl.marginal", overflowing)
         with pytest.raises(NonFiniteInput, match="^2:8: cov has a NaN or infinite entry$"):
             interpret(parse("x ~ normal(0, 1)\nreturn x"))
+
+    @pytest.mark.parametrize("variance", [float("nan"), float("inf")])
+    def test_non_finite_variance_in_hand_built_ast(self, variance):
+        # typecheck passes it (nan < 0 is false); the parser never makes one
+        mean = Expr((Term(0.0, None),))
+        program = Program(
+            statements=(
+                Sample("x", NormalDist(mean, 1.0), 1, 1),
+                Sample("y", NormalDist(mean, variance), 2, 1),
+            ),
+            returns=(Ident("x", 3, 8),),
+        )
+        typecheck(program)
+        with pytest.raises(NonFiniteInput, match=f"^2:1: variance {variance!r} is not finite$"):
+            interpret(program)
 
     def test_tolerance_is_reported(self):
         tol = Tolerance(eq_abs_tol=1e-6)
@@ -490,3 +507,10 @@ class TestPretty:
         assert parse(pretty(program)) == program
         # and pretty itself is then stable
         assert pretty(parse(pretty(program))) == pretty(program)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 2))
+    def test_round_trip_on_random_programs(self, seed, conflicts, overflows):
+        source, _ = _random_observed_source(np.random.default_rng(seed), conflicts, overflows)
+        program = parse(source)
+        assert parse(pretty(program)) == program

@@ -33,6 +33,13 @@ class TestConstruction:
         f = distribution([0.0, 0.0], [[eps, 2 * eps], [2 * eps, eps]])
         assert np.linalg.eigvalsh(f.cov)[0] >= 0.0
 
+    @pytest.mark.parametrize("last", [1.0, -1.0], ids=["symmetrized", "clamped"])
+    def test_entries_near_the_largest_float(self, last):
+        # halving before adding: 1e308 + 1e308 overflows
+        with np.errstate(all="raise"):
+            cov = gauss.psd_normalize(np.diag([1e308, last]))
+        np.testing.assert_array_equal(cov, np.diag([1e308, max(last, 0.0)]))
+
     def test_json_round_trip(self):
         f = GaussianMap([[1.0, 2.0]], [3.0], [[4.0]])
         back = GaussianMap.from_dict(f.to_dict())

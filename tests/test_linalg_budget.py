@@ -13,8 +13,9 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when the interpreter began to defer every
-# observation to one stacked observe at the end (148 before; 181 before the
+# Measured for this program when the interpreter began to build each fresh
+# coordinate without the checking constructor (146 before; 148 before it
+# deferred every observation to one stacked observe at the end; 181 before the
 # graph decomposition of a conditional came from one SVD and observe stopped
 # building its joint through the public constructor; 312 before covariances
 # were checked for PSD only where they enter and in the Schur complement of
@@ -22,12 +23,13 @@ STEPS = 12
 # projector from the graph decomposition, 535 before extended Gaussian maps
 # became decorated relations, and 1,080 before the complement of a subspace
 # became a write-once cache).  Lower it when a change saves more.
-MAX_FACTORIZATIONS = 146
+MAX_FACTORIZATIONS = 121
 
-# Measured for the regression program below with the same change (73
-# before, 121 before the one-SVD graph decomposition, 179 before the PSD
-# change, 239 before the graph-decomposition conditional).
-MAX_FLATREG_FACTORIZATIONS = 43
+# Measured for the regression program below with the same change (43
+# before, 73 before the stacked observe, 121 before the one-SVD graph
+# decomposition, 179 before the PSD change, 239 before the
+# graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 33
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
 # directions when the graph decomposition came from one SVD (22 before, 32
