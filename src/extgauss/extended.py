@@ -36,6 +36,7 @@ from .subspace import (
     Subspace,
     Tolerance,
     _check_finite,
+    _fix_signs,
     column_space,
     image,
     intersect,
@@ -181,8 +182,12 @@ def delete(n: int) -> ExtendedGaussianMap:
 
 def compose(f2: ExtendedGaussianMap, f1: ExtendedGaussianMap,
             tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussianMap:
-    """Sequential composition: the relation engine's, on the pair noise."""
-    return rel_compose(f2, f1, tol)
+    """Sequential composition: the relation engine's, on the pair noise;
+    an overflow raises :class:`NonFiniteInput`, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rel_compose(f2, f1, tol)
+    _check_finite(lin=out.lin, mean=out.mean, cov=out.cov)
+    return out
 
 
 def tensor(f: ExtendedGaussianMap, g: ExtendedGaussianMap,
@@ -264,7 +269,8 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
 
     The residual ``obs @ x`` is adjoined as k auxiliary coordinates by
     pushing the arrays along ``a = [obs; I]``, unnormalized and unchecked;
-    one graph decomposition of ``a D`` serves the support check and the
+    ``a`` is injective, so one SVD with no rank cutoff gives a basis of
+    ``a D``, whose graph decomposition serves the support check and the
     conditional on those coordinates, evaluated at the observed value.
     Raises :class:`InfeasibleObservation` when the value lies outside the
     support of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
@@ -280,8 +286,12 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     a = np.vstack([obs, np.eye(n)])
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cov = _DEC.push(a, psi.noise)
-    _check_finite(mean=mean, cov=cov)  # the observed quantity can overflow
-    split = graph_decompose(image(a, psi.nondet, tol), k, tol)
+        pushed = a @ psi.nondet.basis
+    _check_finite(mean=mean, cov=cov, nondet=pushed)  # the observed quantity can overflow
+    d = Subspace.zero(k + n)
+    if psi.nondet.dim:  # a is injective, so a D has the dimension of D: no rank cut
+        d = Subspace._of(k + n, _fix_signs(np.linalg.svd(pushed, full_matrices=False)[0]))
+    split = graph_decompose(d, k, tol)
     # anchor the support's rank cutoff at the joint's covariance scale so
     # that rounding residue from earlier conditioning cannot fake support
     cov_scale = float(np.linalg.norm(cov, 2)) if cov.size else 0.0

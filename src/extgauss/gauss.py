@@ -41,9 +41,10 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     eigenvalue exceeds ``tol.eq_abs_tol``, measured relative to the
     magnitude of the matrix for data away from unit scale.  ``scale``
     lets callers whose matrix is a small difference of large quantities
-    widen the bound to the magnitude of those inputs.  The library runs
-    it where a covariance enters or is made by subtraction (the Schur
-    complement): pushed, projected and summed PSD forms stay PSD.
+    widen the bound to the magnitude of those inputs.  One ``eigh``
+    both decides and clamps.  The library runs it where a covariance
+    enters or is made by subtraction (the Schur complement): pushed,
+    projected and summed PSD forms stay PSD.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -51,15 +52,15 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     if cov.size == 0:
         return cov
     bound = tol.eq_abs_tol * max(1.0, scale, float(np.max(np.abs(cov))))
-    if float(np.max(np.abs(cov - cov.T))) > bound:
+    half = 0.5 * cov  # halving first cannot overflow
+    if float(np.max(np.abs(half - half.T))) > 0.5 * bound:
         raise NotPSD("covariance is not symmetric within tolerance")
-    cov = 0.5 * cov + 0.5 * cov.T  # halving first cannot overflow
-    eigvals = np.linalg.eigvalsh(cov)
-    smallest = float(eigvals[0])
+    cov = half + half.T
+    vals, vecs = np.linalg.eigh(cov)
+    smallest = float(vals[0])
     if smallest < -bound:
         raise NotPSD(f"covariance has eigenvalue {smallest:.3e}")
     if smallest < 0.0:
-        vals, vecs = np.linalg.eigh(cov)
         cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         cov = 0.5 * cov + 0.5 * cov.T
     return cov

@@ -22,9 +22,6 @@ from .subspace import (
     column_space,
     image,
     intersect,
-    minkowski_sum,
-    product,
-    pseudoinverse,
 )
 
 
@@ -139,21 +136,11 @@ class QuotientForm:
         )
 
 
-def _zero_section(graph: Subspace, nx: int, tol: Tolerance) -> Subspace:
-    """The subspace {y : (0, y) in graph} of the last ny coordinates."""
-    ny = graph.ambient_dim - nx
-    walls = product(Subspace.zero(nx), Subspace.full(ny))
-    py = np.eye(nx + ny)[nx:]
-    return image(py, intersect(graph, walls, tol), tol)
-
-
 def to_quotient_form(r: LinearRelation, tol: Tolerance = DEFAULT_TOL) -> QuotientForm:
-    """Present a left-total relation as a map into the quotient by R(0)."""
-    nondet = _zero_section(r.graph, r.dom_dim, tol)
-    gx = r.graph.basis[: r.dom_dim]
-    gy = r.graph.basis[r.dom_dim:]
-    lin = nondet.complement_projector() @ gy @ pseudoinverse(gx, tol)
-    return QuotientForm(nondet, lin, tol)
+    """Present a left-total relation as a map into the quotient by R(0):
+    the function and the output noise of its graph's decomposition."""
+    h, nondet, _, _ = graph_decompose(r.graph, r.dom_dim, tol)
+    return QuotientForm(nondet, h, tol)
 
 
 def from_quotient_form(q: QuotientForm, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
@@ -192,7 +179,8 @@ def conditional(r: LinearRelation, nx: int, tol: Tolerance = DEFAULT_TOL) -> Lin
     """Reorder ``r : A -> X x Y`` into ``(X x A) -> Y`` and make it left-total.
 
     Inputs outside the reordered domain are related to H = {y : (0, y) in
-    graph}; this is the zero extension, one of many valid choices.
+    graph}; this is the zero extension, one of many valid choices, read off
+    the reordered graph's decomposition, whose h vanishes off the domain.
     """
     na, ny = r.dom_dim, r.cod_dim - nx
     if not 0 <= nx <= r.cod_dim:
@@ -201,9 +189,8 @@ def conditional(r: LinearRelation, nx: int, tol: Tolerance = DEFAULT_TOL) -> Lin
         list(range(na, na + nx)) + list(range(na)) + list(range(na + nx, na + nx + ny))
     )
     reordered = Subspace._of(na + nx + ny, _fix_signs(r.graph.basis[order]))
-    dom = image(np.eye(na + nx + ny)[:nx + na], reordered, tol)
-    extension = product(dom.annihilator(), Subspace.zero(ny))
-    return LinearRelation(nx + na, ny, minkowski_sum(reordered, extension, tol), tol)
+    h, nondet, _, _ = graph_decompose(reordered, nx + na, tol)
+    return from_quotient_form(QuotientForm(nondet, h, tol), tol)
 
 
 def graph_decompose(d: Subspace, nx: int, tol: Tolerance = DEFAULT_TOL

@@ -117,6 +117,15 @@ class TestRun:
             assert main(["run", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["cov"] == [[1e308]]
 
+    def test_large_observation_coefficient_keeps_the_nondeterminism(self, tmp_path, capsys):
+        # a rank cut relative to the norm of [obs; I] dropped x2's direction
+        path = tmp_path / "steep.gx"
+        path.write_text("x1 ~ uniform()\nx2 ~ uniform()\nobserve 1e11*x1 == 1\nreturn x1, x2\n")
+        assert main(["run", str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["nondet_basis"] == [[0.0, 1.0]]
+        np.testing.assert_allclose(data["mean"], [1e-11, 0.0], rtol=1e-12, atol=0.0)
+
     def test_tol_flag(self, exact_file, capsys):
         assert main(["run", exact_file, "--json", "--tol", "1e-6"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -9,6 +9,7 @@ from extgauss.dsl import (
     Expr,
     Ident,
     NormalDist,
+    Observe,
     ParseError,
     Program,
     Sample,
@@ -23,6 +24,7 @@ from extgauss.dsl import (
 from extgauss.extended import ExtendedGaussian, InfeasibleObservation, NonFiniteInput
 from extgauss.subspace import Subspace, Tolerance
 
+from _gen import LOOSE_RANK, gauss_observe_oracle, span_above
 from test_extended import _max_gap, _reference_interpret
 
 EXAMPLE_2_1 = (
@@ -212,6 +214,18 @@ class TestInterpret:
     def test_returned_order_and_duplicates(self):
         report = interpret(parse("a ~ normal(1,1)\nb ~ normal(2,1)\nreturn b, a, b"))
         np.testing.assert_allclose(report.posterior.mean, [2.0, 1.0, 2.0], atol=1e-12)
+
+    # The shear that defines y has norm 1e11, and pushforward's image cuts
+    # its rank at rank_rel_tol * 1e11 = 10, while the invertible shear maps
+    # w's direction to norm 1: w loses its nondeterminism.  Outside the
+    # unit-scale regime; lowering the whole program at once removes the
+    # per-statement shear.
+    @pytest.mark.xfail(strict=True, reason="pushforward's image cuts the rank "
+                       "relative to the shear's norm and drops w's direction")
+    @pytest.mark.parametrize("prior", ["uniform()", "normal(0, 1)"])
+    def test_steep_assignment_keeps_other_nondeterminism(self, prior):
+        report = interpret(parse(f"x ~ {prior}; w ~ uniform(); y = 1e11*x; return w"))
+        assert report.posterior.equals(E.uniform(1))
 
     def test_report_json_fields(self):
         report = interpret(parse("x ~ normal(0,1)\nreturn x"))
@@ -490,6 +504,79 @@ class TestDeferredObservations:
         with pytest.raises(InfeasibleObservation, match="^3:1: "):
             _reference_interpret(parse(before))
         assert _reference_interpret(parse(after)).posterior.equals(E.dirac([1.0]))
+
+
+def _tau_posterior(program, tau):
+    """Mean and covariance of the returned variables when every uniform()
+    reads as normal(0, tau): the program lowered in plain numpy to affine
+    functions of independent sources, conditioned by the Joseph-form oracle
+    (no engine code, so no engine rank decision)."""
+    rows, consts, variances, obs_rows, obs_values = {}, {}, [], [], []
+
+    def affine(expr):
+        row, const = np.zeros(len(variances)), 0.0
+        for term in expr.terms:
+            if term.var is None:
+                const += term.coeff
+            else:
+                row[:len(rows[term.var])] += term.coeff * rows[term.var]
+                const += term.coeff * consts[term.var]
+        return row, const
+
+    for stmt in program.statements:
+        if isinstance(stmt, Observe):
+            (lhs, lc), (rhs, rc) = affine(stmt.lhs), affine(stmt.rhs)
+            obs_rows.append(lhs - rhs)
+            obs_values.append(rc - lc)
+        elif isinstance(stmt, Assign):
+            rows[stmt.name], consts[stmt.name] = affine(stmt.expr)
+        elif isinstance(stmt.dist, UniformDist):
+            rows[stmt.name], consts[stmt.name] = np.append(np.zeros(len(variances)), 1.0), 0.0
+            variances.append(tau)
+        else:
+            row, consts[stmt.name] = affine(stmt.dist.mean)
+            rows[stmt.name] = np.append(row, 1.0)
+            variances.append(stmt.dist.variance)
+
+    def pad(row):
+        return np.pad(row, (0, len(variances) - len(row)))
+
+    mean, cov = np.zeros(len(variances)), np.diag(variances)
+    if obs_rows:
+        obs = np.array([pad(row) for row in obs_rows])
+        mean, cov = gauss_observe_oracle(mean, cov, obs, obs_values, LOOSE_RANK)
+    ret = np.array([pad(rows[r.name]) for r in program.returns])
+    return ret @ mean + [consts[r.name] for r in program.returns], ret @ cov @ ret.T
+
+
+class TestLargeVarianceOracleOnPrograms:
+    """Criterion 11 on random programs: reading every uniform() as
+    normal(0, tau) gives a Gaussian posterior that matches the extended one
+    on the complement of its nondeterminism, and whose variance is large
+    exactly along it.  tau = 1e6, not criterion 11's 1e8: the error is
+    O(1/tau), and at 1e8 the whole-program rank cutoff (README, "Rank
+    decisions of a program") can reach unit-scale variances."""
+
+    TAU = 1e6
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_the_tau_stand_in(self, seed):
+        source, error = _random_observed_source(np.random.default_rng(seed))
+        assert error is None
+        program = parse(source)
+        ext = interpret(program).posterior
+        mean, cov = _tau_posterior(program, self.TAU)
+        p = ext.nondet.complement_projector()
+        # the O(1/tau) error grows with the posterior's own scale, which
+        # chained coefficients of 2 can take to about 1e2
+        scale = 1.0 + max(float(np.max(np.abs(ext.mean))), float(np.max(np.abs(ext.cov))))
+        assert float(np.max(np.abs(p @ mean - ext.mean))) <= 1e-4 * scale, source
+        assert float(np.max(np.abs(p @ cov @ p - ext.cov))) <= 1e-4 * scale, source
+        assert span_above(cov, np.sqrt(self.TAU)).equals(ext.nondet, LOOSE_RANK), source
+        support = Subspace.span(
+            list(span_above(ext.cov, 1e-3).basis.T) + list(ext.nondet.basis.T), ext.dim)
+        assert span_above(cov, 1e-3).equals(support, LOOSE_RANK), source
 
 
 class TestPretty:

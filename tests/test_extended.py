@@ -41,7 +41,7 @@ from extgauss.extended import (
 )
 from extgauss.gauss import NotPSD
 from extgauss.gauss import GaussianMap
-from extgauss.linrel import _zero_section, graph_decompose
+from extgauss.linrel import graph_decompose
 from extgauss.subspace import (
     DEFAULT_TOL,
     Subspace,
@@ -631,6 +631,15 @@ class TestClosedFormConditional:
         assert len(seen) == 6, seen
 
 
+def _zero_section(graph: Subspace, nx: int, tol: Tolerance) -> Subspace:
+    """The subspace {y : (0, y) in graph} of the last ny coordinates, by an
+    intersection and a direct image."""
+    ny = graph.ambient_dim - nx
+    walls = product(Subspace.zero(nx), Subspace.full(ny))
+    py = np.eye(nx + ny)[nx:]
+    return image(py, intersect(graph, walls, tol), tol)
+
+
 class TestGraphSplit:
     """``graph_decompose`` takes h, H, D_X and U = D_X^perp from one SVD;
     the zero section, the direct image and the pseudoinverse are the
@@ -722,6 +731,23 @@ class TestObserveAtAPoint:
         both = observe(psi, obs, [-0.25, 0.125])
         assert _max_gap(both, observe(psi, obs[:1], [-0.25])) <= 1e-12
         assert _max_gap(both, _reference_observe(psi, obs, [-0.25, 0.125])) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e11, 1e150])
+    def test_large_coefficients_keep_every_direction_of_d(self, scale):
+        # [obs; I] is injective, so its image of D has D's dimension however
+        # large obs is; a cut relative to its norm dropped the second direction
+        post = observe(uniform(2), [[scale, 0.0]], [1.0])
+        assert post.nondet.equals(Subspace.span([[0.0, 1.0]]))
+        np.testing.assert_allclose(post.mean, [1.0 / scale, 0.0], rtol=1e-12, atol=0.0)
+
+    def test_no_svd_without_nondeterminism(self, monkeypatch):
+        psi = E.gaussian([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        observe(psi, [[1.0, 1.0]], [0.5])
+        # with D = 0 its image is empty and gets no SVD
+        assert all(min(np.shape(a[0])) > 0 for a in calls)
 
     def test_builds_no_marginal_dirac_or_composition(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -40,6 +40,22 @@ class TestConstruction:
             cov = gauss.psd_normalize(np.diag([1e308, last]))
         np.testing.assert_array_equal(cov, np.diag([1e308, max(last, 0.0)]))
 
+    def test_asymmetry_near_the_largest_float(self):
+        # the symmetry defect is measured on the halves: 1e308 - (-1e308)
+        # overflows
+        with np.errstate(all="raise"), pytest.raises(NotPSD, match="not symmetric"):
+            gauss.psd_normalize([[1.0, 1e308], [-1e308, 1.0]])
+
+    def test_one_eigh_decides_and_clamps(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        eps = 1e-12
+        for cov in ([[1.0, 0.0], [0.0, 2.0]], [[eps, 2 * eps], [2 * eps, eps]]):
+            gauss.psd_normalize(cov)
+        assert len(calls) == 2
+
     def test_json_round_trip(self):
         f = GaussianMap([[1.0, 2.0]], [3.0], [[4.0]])
         back = GaussianMap.from_dict(f.to_dict())

@@ -13,8 +13,10 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when the interpreter began to build each fresh
-# coordinate without the checking constructor (146 before; 148 before it
+# Measured for this program when psd_normalize began to decide and clamp with
+# one eigh and observe stopped making a rank cut on the image of its
+# injective [obs; I] (121 before; 146 before the interpreter built each
+# fresh coordinate without the checking constructor; 148 before it
 # deferred every observation to one stacked observe at the end; 181 before the
 # graph decomposition of a conditional came from one SVD and observe stopped
 # building its joint through the public constructor; 312 before covariances
@@ -23,18 +25,18 @@ STEPS = 12
 # projector from the graph decomposition, 535 before extended Gaussian maps
 # became decorated relations, and 1,080 before the complement of a subspace
 # became a write-once cache).  Lower it when a change saves more.
-MAX_FACTORIZATIONS = 121
+MAX_FACTORIZATIONS = 104
 
-# Measured for the regression program below with the same change (43
-# before, 73 before the stacked observe, 121 before the one-SVD graph
-# decomposition, 179 before the PSD change, 239 before the
-# graph-decomposition conditional).
-MAX_FLATREG_FACTORIZATIONS = 33
+# Measured for the regression program below with the same change (33
+# before, 43 before the fresh coordinates, 73 before the stacked observe,
+# 121 before the one-SVD graph decomposition, 179 before the PSD change,
+# 239 before the graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 28
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
-# directions when the graph decomposition came from one SVD (22 before, 32
-# before the PSD change).
-MAX_OBSERVE_FACTORIZATIONS = 10
+# directions with the same change (10 before, when the graph decomposition
+# came from one SVD; 22 before that, 32 before the PSD change).
+MAX_OBSERVE_FACTORIZATIONS = 8
 
 # Every numpy.linalg factorization, so that moving work from one onto
 # another cannot fake a drop.

@@ -260,6 +260,27 @@ class TestPublicBoundary:
         with pytest.raises(NonFiniteInput, match=f"^{name} has a NaN or infinite entry$"):
             build(bad)
 
+    @pytest.mark.parametrize("lin, mean, cov, name", [
+        ([[1e200]], [0.0], [[0.0]], "lin"),
+        ([[0.0]], [1e200], [[0.0]], "mean"),
+        ([[0.0]], [0.0], [[1e200]], "cov"),
+    ])
+    def test_compose_overflow_rejected_by_name(self, lin, mean, cov, name):
+        # the composite is built unchecked, so its overflow is caught there
+        f = ExtendedGaussianMap(Subspace.zero(1), [[1e200]], [0.0], [[0.0]])
+        g = ExtendedGaussianMap(Subspace.zero(1), lin, mean, cov)
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(NonFiniteInput, match=f"^{name} has a NaN or infinite entry$"):
+            E.compose(f, g)
+
+    def test_observe_overflow_on_the_nondeterminism_rejected_by_name(self):
+        # mean and cov are zero along D, but obs maps D's unit vector past
+        # the largest float
+        psi = ExtendedGaussian(Subspace.span([[1.0, 1.0]]), [0.0, 0.0], np.zeros((2, 2)))
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(NonFiniteInput, match="^nondet has a NaN or infinite entry$"):
+            E.observe(psi, [[1.5e308, 1.5e308]], [0.0])
+
     def test_one_class_everywhere(self):
         import extgauss
         from extgauss import subspace
