@@ -11,9 +11,9 @@ may optionally separate statements)::
 
 Expressions are affine combinations by construction.  ``observe e1 == e2``
 conditions the model on the exact linear event e1 - e2 = 0.  The
-interpreter maintains one joint extended Gaussian over all live variables
-and conditions on all observations at once, after the last statement; for
-jointly feasible observations the posterior does not depend on their order.
+interpreter pushes a Gaussian and a generator of the nondeterminism forward
+apart, joins them after the last statement and conditions on all
+observations at once; for jointly feasible ones the order does not matter.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .extended import (
     observe,
     pushforward,
     tensor,
-    uniform,
 )
-from .subspace import DEFAULT_TOL, Subspace, Tolerance
+from .subspace import DEFAULT_TOL, Subspace, Tolerance, _fix_signs
 
 RESERVED = frozenset({"return", "observe", "normal", "uniform"})
 
@@ -422,9 +421,6 @@ def _located(node):
         raise type(exc)(f"{node.line}:{node.col}: {exc}") from exc
 
 
-_UNIFORM = uniform(1)  # immutable, and its one cache (the nondeterminism's complement) is full
-
-
 def _normal(mean: float, variance: float) -> ExtendedGaussian:
     """``N(mean, variance)`` on R^1 as the checking constructor builds it,
     without its checks: the projector is ``[[1.]]`` and a 1-by-1 matrix is
@@ -437,10 +433,10 @@ def _normal(mean: float, variance: float) -> ExtendedGaussian:
     return ExtendedGaussian._from_normal(_DEC, Subspace.zero(1), np.zeros((1, 0)), noise)
 
 
-def _step(state: ExtendedGaussian, stmt, index: dict, pending: list, tol: Tolerance):
+def _step(state: ExtendedGaussian, g, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
-    residual row, value)``, or tensor in a variable and, if its mean reads
-    live ones, shear it in."""
+    residual row, value)``, or tensor in a variable, shear it in if its mean
+    reads live ones, and give it a row of the generator ``g``."""
     n = len(index)
     with _located(stmt):
         if isinstance(stmt, Observe):
@@ -449,20 +445,40 @@ def _step(state: ExtendedGaussian, stmt, index: dict, pending: list, tol: Tolera
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 c, v = lc - rc, r0 - l0
             pending.append((stmt, *_finite_affine(c, v, index, "observed residual")))
-            return state
+            return state, g
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
-        if isinstance(dist, UniformDist):
-            coeffs, fresh = np.zeros(n), _UNIFORM
+        if isinstance(dist, UniformDist):  # a point mass at 0 and a unit column of g
+            coeffs, fresh = np.zeros(n), _normal(0.0, 0.0)
+            g = np.pad(g, ((0, n + 1 - len(g)), (0, 1)))  # rows are kept once g has a column
+            g[n, -1] = 1.0
         else:
             coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
             fresh = _normal(const, dist.variance)
+            if g.size:
+                with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                    g = np.vstack([g, coeffs @ g])
+                if not np.isfinite(g[n]).all():
+                    raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
+                # each column's largest entry into [0.5, 1): exact, and the same span
+                g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=0))[1])
         state = tensor(state, fresh, tol)
         if np.any(coeffs):
             shear = np.eye(n + 1)
             shear[n, :n] = coeffs
             state = pushforward(shear, state, tol)
     index[stmt.name] = n
-    return state
+    return state, g
+
+
+def _joint(state: ExtendedGaussian, g) -> ExtendedGaussian:
+    """``state`` plus the span of ``g``, in normal form.  The ``uniform()``
+    rows of ``g`` are diagonal and nonzero, so a thin SVD with no rank cut
+    spans it."""
+    if not g.shape[1]:
+        return state
+    nondet = Subspace._of(state.dim, _fix_signs(np.linalg.svd(g, full_matrices=False)[0]))
+    noise = _DEC.push(nondet.complement_projector(), state.noise)
+    return ExtendedGaussian._from_normal(_DEC, nondet, state.lin, noise)
 
 
 def _observe_all(state: ExtendedGaussian, pending: list, tol: Tolerance) -> ExtendedGaussian:
@@ -493,12 +509,13 @@ def _observe_all(state: ExtendedGaussian, pending: list, tol: Tolerance) -> Exte
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
     """Run a program and return the posterior over its returned variables.
 
-    The joint state over all live variables is one extended Gaussian.
-    Sampling and assignment (a sample of variance 0) tensor in a fresh
-    coordinate and, when its mean depends on live variables, shear it in;
-    observations wait for one stacked :func:`observe` after the last
-    statement (a statement that overflows conditions on them first and is
-    run once more).
+    The state is a Gaussian part plus a generator ``g`` of the
+    nondeterminism, a column per ``uniform()``.  A definition (an assignment
+    is a sample of variance 0) tensors in a fresh coordinate, shears it in
+    when its mean reads live variables and adds its row of ``g``.  Last,
+    ``g`` is orthonormalized once, with no rank cut, and one stacked
+    :func:`observe` conditions the joint (a statement that overflows
+    conditions on the pending observations first and is run once more).
     An infeasible observation raises :class:`InfeasibleObservation`; a
     coefficient, constant or value that overflows raises
     :class:`NonFiniteInput` at the statement that made it, before numpy
@@ -509,14 +526,17 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     index: dict = {}  # name -> coordinate
     pending: list = []
     state = ExtendedGaussian(Subspace.zero(0), np.zeros(0), np.zeros((0, 0)), tol)
+    g = np.zeros((0, 0))
     for stmt in program.statements:
         try:
-            state = _step(state, stmt, index, pending, tol)
+            state, g = _step(state, g, stmt, index, pending, tol)
         except NonFiniteInput:  # observing first, as in program order, may avoid it
             if not pending:
                 raise
-            state, pending = _observe_all(state, pending, tol), []
-            state = _step(state, stmt, index, pending, tol)
+            post, pending = _observe_all(_joint(state, g), pending, tol), []
+            state = ExtendedGaussian(Subspace.zero(post.dim), post.mean, post.cov, tol)
+            state, g = _step(state, post.nondet.basis, stmt, index, pending, tol)
+    state = _joint(state, g)
     state = _observe_all(state, pending, tol) if pending else state
     with _located(program.returns[0]):
         posterior = marginal(state, [index[i.name] for i in program.returns], tol)

@@ -121,7 +121,11 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> 
     m = _as_float_matrix(m)
     if m.shape[1] == 0 or m.shape[0] == 0:
         return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:  # gesdd can fail on benign input; reversed rows
+        u, s, _ = np.linalg.svd(m[::-1], full_matrices=False)  # change its bidiagonal
+        u = u[::-1]
     cutoff = tol.rank_rel_tol * max(float(s[0]) if s.size else 0.0, scale)
     rank = int(np.sum(s > cutoff))
     return _fix_signs(u[:, :rank])

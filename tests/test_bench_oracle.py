@@ -74,3 +74,14 @@ def test_flatreg_seed81_program223_is_accurate(tmp_path, capsys):
     kinds = [s.kind for s in model.stmts]
     assert (kinds.count("uniform"), kinds.count("observe")) == (20, 40)
     assert _run(tmp_path / "program.gx", model, capsys) <= 1e-9
+
+
+def test_flatreg_seed508_program468_runs(tmp_path, capsys):
+    # p = 20, m = 40: LAPACK's gesdd fails to converge on the 40 x 40
+    # covariance of the observations here (eigenvalues in [7.9e-4, 1], half
+    # of them 1); orthonormal_columns retries on the reversed rows
+    models = itertools.chain.from_iterable(workloads.rounds("flatreg", 508))
+    model = next(itertools.islice(models, 468, None))
+    kinds = [s.kind for s in model.stmts]
+    assert (kinds.count("uniform"), kinds.count("observe")) == (20, 40)
+    _run(tmp_path / "program.gx", model, capsys)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,17 +217,39 @@ class TestInterpret:
         report = interpret(parse("a ~ normal(1,1)\nb ~ normal(2,1)\nreturn b, a, b"))
         np.testing.assert_allclose(report.posterior.mean, [2.0, 1.0, 2.0], atol=1e-12)
 
-    # The shear that defines y has norm 1e11, and pushforward's image cuts
-    # its rank at rank_rel_tol * 1e11 = 10, while the invertible shear maps
-    # w's direction to norm 1: w loses its nondeterminism.  Outside the
-    # unit-scale regime; lowering the whole program at once removes the
-    # per-statement shear.
-    @pytest.mark.xfail(strict=True, reason="pushforward's image cuts the rank "
-                       "relative to the shear's norm and drops w's direction")
+    # The shear that defines y has norm 1e11; a rank cut of the pushed
+    # nondeterminism relative to it (rank_rel_tol * 1e11 = 10) would drop
+    # w's direction, which the invertible shear maps to norm 1.
     @pytest.mark.parametrize("prior", ["uniform()", "normal(0, 1)"])
     def test_steep_assignment_keeps_other_nondeterminism(self, prior):
         report = interpret(parse(f"x ~ {prior}; w ~ uniform(); y = 1e11*x; return w"))
         assert report.posterior.equals(E.uniform(1))
+
+    def test_huge_coefficients_on_a_uniform_chain_stay_finite(self):
+        # x3 = 1e400*x1: an unrescaled generator row overflows here
+        report = interpret(parse(
+            "x1 ~ uniform(); x2 = 1e200*x1; x3 = 1e200*x2; w ~ uniform(); return x1, x3, w"))
+        assert report.posterior.nondet.dim == 2
+        assert report.posterior.equals(ExtendedGaussian(
+            Subspace.span([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3), np.zeros((3, 3))))
+
+    _OVERFLOWING_ROW = "y = 1e308*x + 1e308*a + 1e308*b + 1e308*c"
+
+    def test_overflowing_nondeterminism_is_located(self):
+        # each of x, a, b, c carries half the one uniform column: 4 * 0.5e308
+        program = parse(f"x ~ uniform(); a = x; b = x; c = x; {self._OVERFLOWING_ROW}; return y")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput,
+                               match="^1:37: nondeterministic part of 'y' overflows$"):
+                interpret(program)
+
+    def test_overflowing_nondeterminism_is_retried_after_observing(self):
+        report = interpret(parse(
+            f"x ~ uniform(); v ~ uniform(); a = x; b = x; c = x; observe x == 0; "
+            f"{self._OVERFLOWING_ROW} + v; return y, v"))
+        assert report.posterior.equals(
+            ExtendedGaussian(Subspace.span([[1.0, 1.0]]), np.zeros(2), np.zeros((2, 2))))
 
     def test_report_json_fields(self):
         report = interpret(parse("x ~ normal(0,1)\nreturn x"))

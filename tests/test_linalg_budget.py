@@ -13,9 +13,11 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when psd_normalize began to decide and clamp with
-# one eigh and observe stopped making a rank cut on the image of its
-# injective [obs; I] (121 before; 146 before the interpreter built each
+# Measured for this program when the interpreter began to carry the
+# nondeterminism as a generator matrix and orthonormalize it once per
+# program (104 before; 121 before psd_normalize began to decide and clamp
+# with one eigh and observe stopped making a rank cut on the image of its
+# injective [obs; I]; 146 before the interpreter built each
 # fresh coordinate without the checking constructor; 148 before it
 # deferred every observation to one stacked observe at the end; 181 before the
 # graph decomposition of a conditional came from one SVD and observe stopped
@@ -25,13 +27,14 @@ STEPS = 12
 # projector from the graph decomposition, 535 before extended Gaussian maps
 # became decorated relations, and 1,080 before the complement of a subspace
 # became a write-once cache).  Lower it when a change saves more.
-MAX_FACTORIZATIONS = 104
+MAX_FACTORIZATIONS = 34
 
-# Measured for the regression program below with the same change (33
-# before, 43 before the fresh coordinates, 73 before the stacked observe,
+# Measured for the regression program below with the same change (28
+# before, 33 before the one-eigh psd_normalize, 43 before the fresh
+# coordinates, 73 before the stacked observe,
 # 121 before the one-SVD graph decomposition, 179 before the PSD change,
 # 239 before the graph-decomposition conditional).
-MAX_FLATREG_FACTORIZATIONS = 28
+MAX_FLATREG_FACTORIZATIONS = 18
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
 # directions with the same change (10 before, when the graph decomposition
@@ -101,6 +104,20 @@ def test_chain_program_factorization_budget(monkeypatch):
     assert report.posterior.nondet.dim == 0
     total = sum(counts.values())
     assert total <= MAX_FACTORIZATIONS, counts
+
+
+def test_chain_program_rank_decisions_do_not_grow_with_length(monkeypatch):
+    # the nondeterminism is orthonormalized once per program, not re-decided
+    # after every statement: SVDs and spectral norms do not grow with the
+    # chain (52 + 25 at 12 steps when each shear ran image and annihilator)
+    decisions = []
+    for steps in (6, 24):
+        program = parse(_chain_program(steps))
+        with monkeypatch.context() as m:
+            counts = _count_factorizations(m)
+            interpret(program)
+        decisions.append((counts.get("svd", 0), counts.get("norm", 0)))
+    assert decisions[0] == decisions[1], decisions
 
 
 def test_rank1_observe_factorization_budget(monkeypatch):

@@ -480,3 +480,24 @@ class TestFastPaths:
             assert got.ambient_dim == n and _same_bits(got.basis, want.basis)
         with pytest.raises(ValueError):
             intersect(Subspace.zero(2), Subspace.zero(3))
+
+
+def test_column_space_when_the_svd_does_not_converge(monkeypatch):
+    # LAPACK's gesdd can fail to converge on a benign matrix (the flatreg
+    # witness in test_bench_oracle.py); the retry on reversed rows gives the
+    # same column space, with an orthonormal, sign-canonical basis
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 5))
+    want = column_space(a)
+    svd, failed = np.linalg.svd, []
+
+    def fails_once(m, *args, **kwargs):
+        if not failed:
+            failed.append(m)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    got = column_space(a)
+    assert failed and got.dim == 3 and got.equals(want)
+    assert _is_orthonormal(got.basis, 1e-12) and _same_bits(_fix_signs(got.basis), got.basis)
