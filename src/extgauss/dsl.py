@@ -11,9 +11,13 @@ may optionally separate statements)::
 
 Expressions are affine combinations by construction.  ``observe e1 == e2``
 conditions the model on the exact linear event e1 - e2 = 0.  The
-interpreter pushes a Gaussian and a generator of the nondeterminism forward
-apart, joins them after the last statement and conditions on all
-observations at once; for jointly feasible ones the order does not matter.
+interpreter lowers the program into arrays, the mean and covariance of a
+Gaussian part and a generator of the nondeterminism: a definition that reads
+a variable whose Gaussian part is not the point mass at 0 borders the
+covariance with one row and one PSD check, any other only writes its mean
+and variance.  After the last statement the two parts are joined and
+conditioned on all observations at once; for jointly feasible ones the
+order does not matter.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ from .extended import (
     NonFiniteInput,
     marginal,
     observe,
-    pushforward,
-    tensor,
 )
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, _fix_signs
+from .gauss import psd_normalize
+from .subspace import DEFAULT_TOL, Subspace, Tolerance, _check_finite, _fix_signs, _svd
 
 RESERVED = frozenset({"return", "observe", "normal", "uniform"})
 
@@ -421,22 +424,30 @@ def _located(node):
         raise type(exc)(f"{node.line}:{node.col}: {exc}") from exc
 
 
-def _normal(mean: float, variance: float) -> ExtendedGaussian:
-    """``N(mean, variance)`` on R^1 as the checking constructor builds it,
-    without its checks: the projector is ``[[1.]]`` and a 1-by-1 matrix is
-    symmetric.  ``mean`` is finite (:func:`_finite_affine`) and ``variance``
-    nonnegative (:func:`typecheck`); a parsed variance is finite, a
-    hand-built one is checked here."""
-    if not math.isfinite(variance):
-        raise NonFiniteInput(f"variance {variance!r} is not finite")
-    noise = (np.array([mean]), np.array([[variance + 0.0]]))  # -0.0 to 0.0, as the constructor
-    return ExtendedGaussian._from_normal(_DEC, Subspace.zero(1), np.zeros((1, 0)), noise)
+class _Lowered:
+    """A program's definitions as arrays over its N coordinates, written in
+    order: the Gaussian part's ``mean`` and ``cov``, the generator ``g`` of
+    the nondeterminism (N by U, the first ``u`` columns in use) and
+    ``point``, whether a coordinate's Gaussian part is the point mass at 0,
+    as a ``uniform()``'s is.  The given ``mean``, ``cov`` and ``g`` fill the
+    leading blocks, whose coordinates count as live."""
+
+    __slots__ = ("mean", "cov", "g", "u", "point")
+
+    def __init__(self, size: int, uniforms: int, mean=(), cov=(), g=np.zeros((0, 0))):
+        k, self.u = len(mean), g.shape[1]
+        self.mean, self.cov = np.zeros(size), np.zeros((size, size))
+        self.g, self.point = np.zeros((size, uniforms)), np.zeros(size, dtype=bool)
+        self.mean[:k], self.cov[:k, :k], self.g[:k, : self.u] = mean, cov, g
 
 
-def _step(state: ExtendedGaussian, g, stmt, index: dict, pending: list, tol: Tolerance):
+def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
-    residual row, value)``, or tensor in a variable, shear it in if its mean
-    reads live ones, and give it a row of the generator ``g``."""
+    residual row, value)``, or write a definition's coordinate and its row
+    of ``g``.  A mean that reads live coordinates (not point masses at 0)
+    borders the covariance with the row ``live·cov`` and its corner, and the
+    leading block is checked once, with the checking constructor's checks
+    and messages; any other definition only writes its mean and variance."""
     n = len(index)
     with _located(stmt):
         if isinstance(stmt, Observe):
@@ -445,40 +456,46 @@ def _step(state: ExtendedGaussian, g, stmt, index: dict, pending: list, tol: Tol
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 c, v = lc - rc, r0 - l0
             pending.append((stmt, *_finite_affine(c, v, index, "observed residual")))
-            return state, g
+            return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
         if isinstance(dist, UniformDist):  # a point mass at 0 and a unit column of g
-            coeffs, fresh = np.zeros(n), _normal(0.0, 0.0)
-            g = np.pad(g, ((0, n + 1 - len(g)), (0, 1)))  # rows are kept once g has a column
-            g[n, -1] = 1.0
+            s.g[n, s.u], s.u, s.point[n] = 1.0, s.u + 1, True
+            index[stmt.name] = n
+            return
+        coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
+        variance = dist.variance + 0.0  # -0.0 to 0.0, as the checking constructor
+        if not math.isfinite(variance):  # a parsed one is; a hand-built one may not be
+            raise NonFiniteInput(f"variance {dist.variance!r} is not finite")
+        if s.u:
+            g = s.g[: n + 1, : s.u]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                g[n] = coeffs @ g[:n]
+            if not np.isfinite(g[n]).all():
+                raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
+            # each column's largest entry into [0.5, 1): exact, and the same span
+            np.ldexp(g, -np.frexp(np.abs(g).max(axis=0))[1], out=g)
+        live = np.where(s.point[:n], 0.0, coeffs)
+        if live.any():
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                row = live @ s.cov[:n, :n]
+                s.mean[n], s.cov[n, n] = live @ s.mean[:n] + const, row @ live + variance
+            s.cov[n, :n] = s.cov[:n, n] = row
+            _check_finite(mean=s.mean[n], cov=s.cov[n, : n + 1])
+            s.cov[: n + 1, : n + 1] = psd_normalize(s.cov[: n + 1, : n + 1], tol)
         else:
-            coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
-            fresh = _normal(const, dist.variance)
-            if g.size:
-                with np.errstate(over="ignore", invalid="ignore"):  # checked next
-                    g = np.vstack([g, coeffs @ g])
-                if not np.isfinite(g[n]).all():
-                    raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
-                # each column's largest entry into [0.5, 1): exact, and the same span
-                g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=0))[1])
-        state = tensor(state, fresh, tol)
-        if np.any(coeffs):
-            shear = np.eye(n + 1)
-            shear[n, :n] = coeffs
-            state = pushforward(shear, state, tol)
+            s.mean[n], s.cov[n, n], s.point[n] = const, variance, not (const or variance)
     index[stmt.name] = n
-    return state, g
 
 
-def _joint(state: ExtendedGaussian, g) -> ExtendedGaussian:
-    """``state`` plus the span of ``g``, in normal form.  The ``uniform()``
-    rows of ``g`` are diagonal and nonzero, so a thin SVD with no rank cut
-    spans it."""
-    if not g.shape[1]:
-        return state
-    nondet = Subspace._of(state.dim, _fix_signs(np.linalg.svd(g, full_matrices=False)[0]))
-    noise = _DEC.push(nondet.complement_projector(), state.noise)
-    return ExtendedGaussian._from_normal(_DEC, nondet, state.lin, noise)
+def _joint(s: _Lowered, n: int) -> ExtendedGaussian:
+    """The first ``n`` coordinates of ``s``, the span of ``g`` their
+    nondeterminism, in normal form.  The ``uniform()`` rows of ``g`` are
+    diagonal and nonzero, so a thin SVD with no rank cut spans it."""
+    nondet, noise = Subspace.zero(n), (s.mean[:n], s.cov[:n, :n])
+    if s.u:
+        nondet = Subspace._of(n, _fix_signs(_svd(s.g[:n, : s.u], full_matrices=False)[0]))
+        noise = _DEC.push(nondet.complement_projector(), noise)
+    return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((n, 0)), noise)
 
 
 def _observe_all(state: ExtendedGaussian, pending: list, tol: Tolerance) -> ExtendedGaussian:
@@ -509,13 +526,15 @@ def _observe_all(state: ExtendedGaussian, pending: list, tol: Tolerance) -> Exte
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
     """Run a program and return the posterior over its returned variables.
 
-    The state is a Gaussian part plus a generator ``g`` of the
-    nondeterminism, a column per ``uniform()``.  A definition (an assignment
-    is a sample of variance 0) tensors in a fresh coordinate, shears it in
-    when its mean reads live variables and adds its row of ``g``.  Last,
-    ``g`` is orthonormalized once, with no rank cut, and one stacked
-    :func:`observe` conditions the joint (a statement that overflows
-    conditions on the pending observations first and is run once more).
+    The program is lowered into arrays, one coordinate per definition (an
+    assignment is a sample of variance 0): a Gaussian part and a generator
+    ``g`` of the nondeterminism, a column per ``uniform()``.  A definition
+    writes its mean, variance and row of ``g``; one whose mean reads live
+    variables (not point masses at 0) also borders the covariance with one
+    row and runs one PSD check.  Last, ``g`` is orthonormalized once, with
+    no rank cut, and one stacked :func:`observe` conditions the joint (a
+    statement that overflows conditions on the pending observations first
+    and is run once more).
     An infeasible observation raises :class:`InfeasibleObservation`; a
     coefficient, constant or value that overflows raises
     :class:`NonFiniteInput` at the statement that made it, before numpy
@@ -523,20 +542,22 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     the final marginal, the first returned variable's).
     """
     typecheck(program)
+    defs = [stmt for stmt in program.statements if not isinstance(stmt, Observe)]
+    shape = len(defs), sum(isinstance(d, Sample) and isinstance(d.dist, UniformDist) for d in defs)
     index: dict = {}  # name -> coordinate
     pending: list = []
-    state = ExtendedGaussian(Subspace.zero(0), np.zeros(0), np.zeros((0, 0)), tol)
-    g = np.zeros((0, 0))
+    s = _Lowered(*shape)
     for stmt in program.statements:
         try:
-            state, g = _step(state, g, stmt, index, pending, tol)
+            _step(s, stmt, index, pending, tol)
         except NonFiniteInput:  # observing first, as in program order, may avoid it
             if not pending:
                 raise
-            post, pending = _observe_all(_joint(state, g), pending, tol), []
-            state = ExtendedGaussian(Subspace.zero(post.dim), post.mean, post.cov, tol)
-            state, g = _step(state, post.nondet.basis, stmt, index, pending, tol)
-    state = _joint(state, g)
+            post, pending = _observe_all(_joint(s, len(index)), pending, tol), []
+            checked = ExtendedGaussian(Subspace.zero(post.dim), post.mean, post.cov, tol)
+            s = _Lowered(*shape, checked.mean, checked.cov, post.nondet.basis)
+            _step(s, stmt, index, pending, tol)
+    state = _joint(s, len(index))
     state = _observe_all(state, pending, tol) if pending else state
     with _located(program.returns[0]):
         posterior = marginal(state, [index[i.name] for i in program.returns], tol)

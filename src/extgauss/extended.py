@@ -37,6 +37,7 @@ from .subspace import (
     Tolerance,
     _check_finite,
     _fix_signs,
+    _svd,
     column_space,
     image,
     intersect,
@@ -290,7 +291,7 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     _check_finite(mean=mean, cov=cov, nondet=pushed)  # the observed quantity can overflow
     d = Subspace.zero(k + n)
     if psi.nondet.dim:  # a is injective, so a D has the dimension of D: no rank cut
-        d = Subspace._of(k + n, _fix_signs(np.linalg.svd(pushed, full_matrices=False)[0]))
+        d = Subspace._of(k + n, _fix_signs(_svd(pushed, full_matrices=False)[0]))
     split = graph_decompose(d, k, tol)
     # anchor the support's rank cutoff at the joint's covariance scale so
     # that rounding residue from earlier conditioning cannot fake support

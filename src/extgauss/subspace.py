@@ -107,6 +107,17 @@ def _is_orthonormal(basis: np.ndarray, atol: float) -> bool:
     )
 
 
+def _svd(m: np.ndarray, full_matrices: bool = True):
+    """``np.linalg.svd(m, full_matrices)``; when it does not converge (gesdd
+    can fail on benign input), the SVD of the reversed rows, which changes
+    its bidiagonal, with the rows of ``u`` put back."""
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        u, s, vt = np.linalg.svd(m[::-1], full_matrices=full_matrices)
+        return u[::-1], s, vt
+
+
 def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Canonical orthonormal basis of the column space of ``m``.
 
@@ -121,11 +132,7 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> 
     m = _as_float_matrix(m)
     if m.shape[1] == 0 or m.shape[0] == 0:
         return np.zeros((m.shape[0], 0))
-    try:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:  # gesdd can fail on benign input; reversed rows
-        u, s, _ = np.linalg.svd(m[::-1], full_matrices=False)  # change its bidiagonal
-        u = u[::-1]
+    u, s, _ = _svd(m, full_matrices=False)
     cutoff = tol.rank_rel_tol * max(float(s[0]) if s.size else 0.0, scale)
     rank = int(np.sum(s > cutoff))
     return _fix_signs(u[:, :rank])
@@ -237,7 +244,7 @@ class Subspace:
             elif self.dim == n:
                 basis = np.zeros((n, 0))
             else:
-                basis = _fix_signs(np.linalg.svd(self.basis, full_matrices=True)[0][:, self.dim:])
+                basis = _fix_signs(_svd(self.basis)[0][:, self.dim:])
             object.__setattr__(self, "_complement", Subspace._of(n, basis))
         return self._complement
 

@@ -13,28 +13,30 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when the interpreter began to carry the
-# nondeterminism as a generator matrix and orthonormalize it once per
-# program (104 before; 121 before psd_normalize began to decide and clamp
-# with one eigh and observe stopped making a rank cut on the image of its
-# injective [obs; I]; 146 before the interpreter built each
-# fresh coordinate without the checking constructor; 148 before it
-# deferred every observation to one stacked observe at the end; 181 before the
-# graph decomposition of a conditional came from one SVD and observe stopped
-# building its joint through the public constructor; 312 before covariances
-# were checked for PSD only where they enter and in the Schur complement of
-# a conditional, 376 before conditionals removed the nondeterminism with the
-# projector from the graph decomposition, 535 before extended Gaussian maps
-# became decorated relations, and 1,080 before the complement of a subspace
+# Measured for this program when the interpreter began to lower the
+# program into arrays, with no PSD check for a definition that reads only
+# point masses (34 before; 104 before it carried the nondeterminism as a
+# generator matrix and orthonormalized it once per program; 121 before
+# psd_normalize began to decide and clamp with one eigh and observe
+# stopped making a rank cut on the image of its injective [obs; I]; 146
+# before the interpreter built each fresh coordinate without the checking
+# constructor; 148 before it deferred every observation to one stacked
+# observe at the end; 181 before the graph decomposition of a conditional
+# came from one SVD and observe stopped building its joint through the
+# public constructor; 312 before covariances were checked for PSD only
+# where they enter and in the Schur complement of a conditional, 376
+# before conditionals removed the nondeterminism with the projector from
+# the graph decomposition, 535 before extended Gaussian maps became
+# decorated relations, and 1,080 before the complement of a subspace
 # became a write-once cache).  Lower it when a change saves more.
-MAX_FACTORIZATIONS = 34
+MAX_FACTORIZATIONS = 33
 
-# Measured for the regression program below with the same change (28
-# before, 33 before the one-eigh psd_normalize, 43 before the fresh
-# coordinates, 73 before the stacked observe,
-# 121 before the one-SVD graph decomposition, 179 before the PSD change,
-# 239 before the graph-decomposition conditional).
-MAX_FLATREG_FACTORIZATIONS = 18
+# Measured for the regression program below with the same change (18
+# before, 28 before the generator matrix, 33 before the one-eigh
+# psd_normalize, 43 before the fresh coordinates, 73 before the stacked
+# observe, 121 before the one-SVD graph decomposition, 179 before the PSD
+# change, 239 before the graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 14
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
 # directions with the same change (10 before, when the graph decomposition

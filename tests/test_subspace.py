@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from extgauss.subspace import (
     structured_complement,
 )
 from extgauss.subspace import _fix_signs, _is_orthonormal
+from extgauss.dsl import interpret, parse
+from extgauss.extended import ExtendedGaussian, observe
+from extgauss.linrel import graph_decompose
 
 from _gen import nullspace_oracle, random_subspace, rank_oracle
 
@@ -501,3 +505,60 @@ def test_column_space_when_the_svd_does_not_converge(monkeypatch):
     got = column_space(a)
     assert failed and got.dim == 3 and got.equals(want)
     assert _is_orthonormal(got.basis, 1e-12) and _same_bits(_fix_signs(got.basis), got.basis)
+
+
+class TestSvdRetry:
+    """Every SVD the library makes directly goes through ``_svd``: when
+    LAPACK does not converge, it retries on the reversed rows, and the
+    result is the one the first call would have given
+    (``orthonormal_columns``: ``test_column_space_when_the_svd_does_not_converge``)."""
+
+    @staticmethod
+    def _fail_first_svd(monkeypatch) -> list:
+        """Make the next ``np.linalg.svd`` call raise; the list records the
+        function that called ``_svd`` for it."""
+        svd, failed = np.linalg.svd, []
+
+        def fails_once(m, *args, **kwargs):
+            if not failed:
+                failed.append(sys._getframe(2).f_code.co_name)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        return failed
+
+    def test_annihilator(self, monkeypatch):
+        basis = random_subspace(np.random.default_rng(9), 6, 2).basis
+        want = Subspace._of(6, basis.copy()).annihilator()
+        failed = self._fail_first_svd(monkeypatch)
+        got = Subspace._of(6, basis.copy()).annihilator()
+        assert failed == ["annihilator"]
+        assert got.dim == 4 and got.equals(want) and _is_orthonormal(got.basis, 1e-12)
+
+    def test_graph_decompose(self, monkeypatch):
+        d = random_subspace(np.random.default_rng(10), 7, 4)
+        want = graph_decompose(d, 3)
+        failed = self._fail_first_svd(monkeypatch)
+        got = graph_decompose(d, 3)
+        assert failed == ["graph_decompose"]
+        assert np.allclose(got[0], want[0], atol=1e-12)
+        assert all(g.dim == w.dim and g.equals(w) for g, w in zip(got[1:], want[1:]))
+
+    def test_observe(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        psi = ExtendedGaussian(random_subspace(rng, 5, 2), rng.standard_normal(5), np.eye(5))
+        obs = rng.standard_normal((2, 5))
+        want = observe(psi, obs, [1.0, -1.0])
+        failed = self._fail_first_svd(monkeypatch)
+        got = observe(psi, obs, [1.0, -1.0])
+        assert failed == ["observe"]
+        assert got.nondet.dim == want.nondet.dim and got.equals(want)
+
+    def test_the_interpreters_generator(self, monkeypatch):
+        program = parse("x ~ uniform(); y ~ normal(2*x, 1); w ~ uniform(); return x, y, w")
+        want = interpret(program).posterior
+        failed = self._fail_first_svd(monkeypatch)
+        got = interpret(program).posterior
+        assert failed == ["_joint"]
+        assert got.nondet.dim == want.nondet.dim == 2 and got.equals(want)
