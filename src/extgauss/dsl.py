@@ -12,12 +12,9 @@ may optionally separate statements)::
 Expressions are affine combinations by construction.  ``observe e1 == e2``
 conditions the model on the exact linear event e1 - e2 = 0.  The
 interpreter lowers the program into arrays, the mean and covariance of a
-Gaussian part and a generator of the nondeterminism: a definition that reads
-a variable whose Gaussian part is not the point mass at 0 borders the
-covariance with one row and one PSD check, any other only writes its mean
-and variance.  After the last statement the two parts are joined and
-conditioned on all observations at once; for jointly feasible ones the
-order does not matter.
+Gaussian part and a generator of the nondeterminism, then conditions the
+joint of the observed and the returned rows on all observations at once;
+for jointly feasible ones the order does not matter.
 """
 
 from __future__ import annotations
@@ -35,11 +32,10 @@ from .extended import (
     ExtendedGaussian,
     InfeasibleObservation,
     NonFiniteInput,
-    marginal,
-    observe,
+    _condition_rows,
 )
 from .gauss import psd_normalize
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, _check_finite, _fix_signs, _svd
+from .subspace import DEFAULT_TOL, Subspace, Tolerance, _check_finite
 
 RESERVED = frozenset({"return", "observe", "normal", "uniform"})
 
@@ -394,23 +390,25 @@ class PosteriorReport:
 
 def _lower_expr(expr: Expr, index: dict, what: str) -> tuple[np.ndarray, float]:
     """Affine expression over the live variables: (coefficients, constant)."""
-    coeffs = np.zeros(len(index))
+    acc: dict = {}  # Python floats overflow to inf and nan without a warning
     const = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for term in expr.terms:
-            if term.var is None:
-                const += term.coeff
-            else:
-                coeffs[index[term.var]] += term.coeff
+    for term in expr.terms:
+        if term.var is None:
+            const += term.coeff
+        else:
+            j = index[term.var]
+            acc[j] = acc.get(j, 0.0) + term.coeff
+    coeffs = np.zeros(len(index))
+    coeffs[list(acc)] = list(acc.values())
     return _finite_affine(coeffs, const, index, what)
 
 
 def _finite_affine(coeffs, const, index: dict, what: str) -> tuple[np.ndarray, float]:
     """``(coeffs, const)``, or :class:`NonFiniteInput` naming what overflowed."""
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
+    if not np.isfinite(coeffs).all():
+        bad = np.flatnonzero(~np.isfinite(coeffs))
         raise NonFiniteInput(f"{what} has a non-finite coefficient of {list(index)[bad[0]]!r}")
-    if not np.isfinite(const):
+    if not math.isfinite(const):
         raise NonFiniteInput(f"{what} has a non-finite constant")
     return coeffs, const
 
@@ -447,15 +445,14 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     of ``g``.  A mean that reads live coordinates (not point masses at 0)
     borders the covariance with the row ``live·cov`` and its corner, and the
     leading block is checked once, with the checking constructor's checks
-    and messages; any other definition only writes its mean and variance."""
+    and messages; any other definition only writes its mean and variance.
+    Every overflow is checked, so numpy's warnings may be off."""
     n = len(index)
     with _located(stmt):
         if isinstance(stmt, Observe):
             lc, l0 = _lower_expr(stmt.lhs, index, "left-hand side")
             rc, r0 = _lower_expr(stmt.rhs, index, "right-hand side")
-            with np.errstate(over="ignore", invalid="ignore"):  # checked next
-                c, v = lc - rc, r0 - l0
-            pending.append((stmt, *_finite_affine(c, v, index, "observed residual")))
+            pending.append((stmt, *_finite_affine(lc - rc, r0 - l0, index, "observed residual")))
             return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
         if isinstance(dist, UniformDist):  # a point mass at 0 and a unit column of g
@@ -468,17 +465,15 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             raise NonFiniteInput(f"variance {dist.variance!r} is not finite")
         if s.u:
             g = s.g[: n + 1, : s.u]
-            with np.errstate(over="ignore", invalid="ignore"):  # checked next
-                g[n] = coeffs @ g[:n]
+            g[n] = coeffs @ g[:n]
             if not np.isfinite(g[n]).all():
                 raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
             # each column's largest entry into [0.5, 1): exact, and the same span
             np.ldexp(g, -np.frexp(np.abs(g).max(axis=0))[1], out=g)
         live = np.where(s.point[:n], 0.0, coeffs)
         if live.any():
-            with np.errstate(over="ignore", invalid="ignore"):  # checked next
-                row = live @ s.cov[:n, :n]
-                s.mean[n], s.cov[n, n] = live @ s.mean[:n] + const, row @ live + variance
+            row = live @ s.cov[:n, :n]
+            s.mean[n], s.cov[n, n] = live @ s.mean[:n] + const, row @ live + variance
             s.cov[n, :n] = s.cov[:n, n] = row
             _check_finite(mean=s.mean[n], cov=s.cov[n, : n + 1])
             s.cov[: n + 1, : n + 1] = psd_normalize(s.cov[: n + 1, : n + 1], tol)
@@ -487,39 +482,43 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     index[stmt.name] = n
 
 
-def _joint(s: _Lowered, n: int) -> ExtendedGaussian:
-    """The first ``n`` coordinates of ``s``, the span of ``g`` their
-    nondeterminism, in normal form.  The ``uniform()`` rows of ``g`` are
-    diagonal and nonzero, so a thin SVD with no rank cut spans it."""
-    nondet, noise = Subspace.zero(n), (s.mean[:n], s.cov[:n, :n])
-    if s.u:
-        nondet = Subspace._of(n, _fix_signs(_svd(s.g[:n, : s.u], full_matrices=False)[0]))
-        noise = _DEC.push(nondet.complement_projector(), noise)
-    return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((n, 0)), noise)
-
-
-def _observe_all(state: ExtendedGaussian, pending: list, tol: Tolerance) -> ExtendedGaussian:
-    """Condition on the pending ``(statement, row, value)`` in one stacked
-    :func:`observe`, the rows zero-padded.  On failure, bisect for the
-    shortest failing prefix (prefix feasibility is monotone) and raise at
-    its last statement; an overflow there is retried after the rows before
-    it, as in program order."""
-    obs = np.array([np.concatenate((r, np.zeros(state.dim - r.size))) for _, r, _ in pending])
+def _condition(mean, cov, g, pending: list, rows, tol: Tolerance, at) -> ExtendedGaussian:
+    """Coordinates ``rows`` of ``N(mean, cov) + span(g)`` given the pending
+    ``(statement, row, value)``, by one :func:`_condition_rows` on the pushed
+    observed and returned rows.  On failure, bisect for the shortest failing
+    prefix of the observed rows (prefix feasibility is monotone) and raise at
+    its last statement, or at ``at`` if there is none; an overflow there is
+    retried after the rows before it, as in program order."""
+    n, k = len(mean), len(pending)
+    p = np.zeros((k + len(rows), n))
+    for i, (_, row, _) in enumerate(pending):
+        p[i, : row.size] = row
+    p[np.arange(k, len(p)), rows] = 1.0
     value = np.array([v for _, _, v in pending])
+    (mean_y, cov_y), g_y = _DEC.push(p, (mean, cov)), p @ g  # checked in _condition_rows
+    scale = float(cov.diagonal().max(initial=0.0))  # the program's covariance scale
+
+    def prefix(j):  # the first j observed rows and the returned rows
+        keep = np.r_[:j, k : len(p)]
+        return _condition_rows(mean_y[keep], cov_y[np.ix_(keep, keep)], g_y[keep], j,
+                               value[:j], tol, scale)
+
+    ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
-        return observe(state, obs, value, tol)
+        return prefix(k)
     except (InfeasibleObservation, NonFiniteInput) as exc:
-        ok, bad, err = 0, len(pending), exc  # the prefix of length ``ok`` passes
+        err = exc
     while bad - ok > 1:
         mid = (ok + bad) // 2
         try:
-            observe(state, obs[:mid], value[:mid], tol)
+            prefix(mid)
             ok = mid
         except (InfeasibleObservation, NonFiniteInput) as exc:
             bad, err = mid, exc
     if ok and isinstance(err, NonFiniteInput):
-        return _observe_all(_observe_all(state, pending[:ok], tol), pending[ok:], tol)
-    with _located(pending[ok][0]):
+        post = _condition(mean, cov, g, pending[:ok], range(n), tol, at)
+        return _condition(post.mean, post.cov, post.nondet.basis, pending[ok:], rows, tol, at)
+    with _located(pending[ok][0] if pending else at):
         raise err
 
 
@@ -528,18 +527,17 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
 
     The program is lowered into arrays, one coordinate per definition (an
     assignment is a sample of variance 0): a Gaussian part and a generator
-    ``g`` of the nondeterminism, a column per ``uniform()``.  A definition
-    writes its mean, variance and row of ``g``; one whose mean reads live
-    variables (not point masses at 0) also borders the covariance with one
-    row and runs one PSD check.  Last, ``g`` is orthonormalized once, with
-    no rank cut, and one stacked :func:`observe` conditions the joint (a
+    ``g`` of the nondeterminism, a column per ``uniform()``; a definition
+    whose mean reads live variables (not point masses at 0) borders the
+    covariance and runs one PSD check.  Last, one :func:`_condition_rows`
+    conditions the joint of the observed and the returned rows on every
+    observation at once (marginalizing commutes with conditioning).  A
     statement that overflows conditions on the pending observations first
-    and is run once more).
-    An infeasible observation raises :class:`InfeasibleObservation`; a
-    coefficient, constant or value that overflows raises
-    :class:`NonFiniteInput` at the statement that made it, before numpy
-    can warn.  Both are prefixed with the statement's ``line:col`` (for
-    the final marginal, the first returned variable's).
+    and is run once more.  An infeasible observation raises
+    :class:`InfeasibleObservation`; a coefficient, constant or value that
+    overflows raises :class:`NonFiniteInput` at the statement that made
+    it, before numpy can warn.  Both are prefixed with the statement's
+    ``line:col`` (with no observation, the first returned variable's).
     """
     typecheck(program)
     defs = [stmt for stmt in program.statements if not isinstance(stmt, Observe)]
@@ -547,20 +545,23 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     index: dict = {}  # name -> coordinate
     pending: list = []
     s = _Lowered(*shape)
-    for stmt in program.statements:
-        try:
-            _step(s, stmt, index, pending, tol)
-        except NonFiniteInput:  # observing first, as in program order, may avoid it
-            if not pending:
-                raise
-            post, pending = _observe_all(_joint(s, len(index)), pending, tol), []
-            checked = ExtendedGaussian(Subspace.zero(post.dim), post.mean, post.cov, tol)
-            s = _Lowered(*shape, checked.mean, checked.cov, post.nondet.basis)
-            _step(s, stmt, index, pending, tol)
-    state = _joint(s, len(index))
-    state = _observe_all(state, pending, tol) if pending else state
-    with _located(program.returns[0]):
-        posterior = marginal(state, [index[i.name] for i in program.returns], tol)
+    at = program.returns[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # every result is checked
+        for stmt in program.statements:
+            try:
+                _step(s, stmt, index, pending, tol)
+            except NonFiniteInput:  # observing first, as in program order, may avoid it
+                if not pending:
+                    raise
+                n = len(index)
+                post = _condition(s.mean[:n], s.cov[:n, :n], s.g[:n, : s.u], pending,
+                                  range(n), tol, at)
+                checked = ExtendedGaussian(Subspace.zero(n), post.mean, post.cov, tol)
+                s, pending = _Lowered(*shape, checked.mean, checked.cov, post.nondet.basis), []
+                _step(s, stmt, index, pending, tol)
+        n = len(index)
+        posterior = _condition(s.mean[:n], s.cov[:n, :n], s.g[:n, : s.u], pending,
+                               [index[i.name] for i in program.returns], tol, at)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

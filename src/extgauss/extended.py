@@ -52,6 +52,9 @@ class InfeasibleObservation(ValueError):
     """An exact observation lies outside the support of the variable."""
 
 
+_OFF_SUPPORT = "observed value lies outside the support of the observed quantity"
+
+
 class ExtendedGaussianMap(DecoratedRelation):
     """``x -> lin @ x + N(mean, cov) + nondet`` from R^n to R^m.
 
@@ -152,12 +155,6 @@ def uniform(n: int) -> ExtendedGaussian:
 
 def from_gaussian(g: GaussianMap) -> ExtendedGaussianMap:
     return ExtendedGaussianMap(Subspace.zero(g.cod_dim), g.lin, g.mean, g.cov)
-
-
-def to_gaussian(m: ExtendedGaussianMap) -> GaussianMap:
-    if m.nondet.dim != 0:
-        raise ValueError("map has nondeterministic directions")
-    return GaussianMap(m.lin, m.mean, m.cov)
 
 
 def identity(n: int) -> ExtendedGaussianMap:
@@ -302,11 +299,46 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     resid = value - mean[:k]
     off = resid - supp.basis @ (supp.basis.T @ resid)
     if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
-        raise InfeasibleObservation(
-            "observed value lies outside the support of the observed quantity"
-        )
+        raise InfeasibleObservation(_OFF_SUPPORT)
     nondet, lin, (mean, cov) = _conditional(np.zeros((k + n, 0)), (mean, cov), split, tol)
     return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((n, 0)), (mean + lin @ value, cov))
+
+
+def _condition_rows(mean, cov, g, k: int, value, tol: Tolerance = DEFAULT_TOL,
+                    scale: float = 0.0) -> ExtendedGaussian:
+    """Observe the first k coordinates of ``N(mean, cov) + span(g)`` at
+    ``value`` and keep the rest: :func:`observe` then :func:`marginal`, on
+    a joint in generator form whose ``cov`` need not be normalized.  One
+    SVD of the observed rows ``g_o``, cut at ``rank_rel_tol`` (a
+    generator's columns are scaled to a largest entry near 1, as an
+    orthonormal basis's are), gives the graph decomposition
+    ``h = g_r V_q S_q^-1 U_q^T``, ``H = col(g_r V_perp)`` cut at
+    ``||g_r||_2``.  A cut relative to the largest singular value, or one
+    cut of both blocks, would let a steep observed row hide the other
+    rows' directions.  The residual off ``U_q`` must lie in the column
+    space of the observed covariance there, cut at ``max(||cov||_2, scale)``."""
+    _check_finite(mean=mean, cov=cov, nondet=g)
+    g_o, g_r = g[:k], g[k:]
+    # an empty block gets what numpy's SVD returns for it, without the call
+    u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
+    q = int(np.sum(s > tol.rank_rel_tol))
+    h = (g_r @ vt[:q].T / s[:q]) @ u[:, :q].T
+    eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0)
+    perp = _fix_signs(u[:, q:])
+    if k:
+        anchor = max(float(np.linalg.norm(cov, 2)), scale)
+        if not np.isfinite(anchor):  # finite entries such as 1e308 can overflow it
+            raise NonFiniteInput("joint covariance has an infinite norm")
+        supp = column_space(perp.T @ cov[:k, :k] @ perp, tol, scale=anchor).basis
+        resid = perp.T @ (value - mean[:k])
+        off = resid - supp @ (supp.T @ resid)
+        if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
+            raise InfeasibleObservation(_OFF_SUPPORT)
+    split = (h, eta, Subspace._of(k, _fix_signs(u[:, :q])), Subspace._of(k, perp))
+    nondet, lin, (mean, cov) = _conditional(np.zeros((len(g), 0)), (mean, cov), split, tol)
+    mean = mean + lin @ value
+    _check_finite(mean=mean, cov=cov)
+    return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((len(mean), 0)), (mean, cov))
 
 
 def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:

@@ -191,7 +191,7 @@ class TestInterpret:
         def overflowing(*args, **kwargs):
             raise NonFiniteInput("cov has a NaN or infinite entry")
 
-        monkeypatch.setattr("extgauss.dsl.marginal", overflowing)
+        monkeypatch.setattr("extgauss.dsl._condition_rows", overflowing)
         with pytest.raises(NonFiniteInput, match="^2:8: cov has a NaN or infinite entry$"):
             interpret(parse("x ~ normal(0, 1)\nreturn x"))
 
@@ -235,17 +235,16 @@ class TestInterpret:
         assert report.posterior.equals(ExtendedGaussian(
             Subspace.span([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3), np.zeros((3, 3))))
 
-    # Known wrong answers: x1 and x2 stay independent and completely unknown,
-    # but the posterior keeps one direction of their nondeterminism at 1e10
-    # and none at 1e200.  At 1e10 the joint keeps both, and the final
-    # marginal's image drops (1, 1), which the projection maps to norm
-    # 7e-11, below rank_rel_tol.  At 1e200 the generator's power-of-two
-    # column scaling leaves x1 and x2 at 1e-200 and 0 against z's entry.
-    # Orthonormalizing the returned rows of the generator fixes both.
-    @pytest.mark.xfail(strict=True, reason="large shears lose returned nondeterminism")
+    # x1 and x2 stay independent and completely unknown.  At 1e10 the
+    # returned rows of the generator are 2^-34 times the identity, and
+    # their rank is cut relative to their own norm.  At 1e200 the known
+    # wrong answer remains: the generator's power-of-two column rescaling
+    # after z underflows the x1 and x2 rows to 0, so the posterior keeps
+    # no nondeterminism.
     @pytest.mark.parametrize("shear", [
         "y = 1e10*x1 + 1e10*x2",
-        "y = 1e200*x1 + 1e200*x2; z = 1e200*y",
+        pytest.param("y = 1e200*x1 + 1e200*x2; z = 1e200*y", marks=pytest.mark.xfail(
+            strict=True, reason="column rescaling underflows the returned rows")),
     ])
     def test_large_shears_keep_independent_nondeterminism(self, shear):
         report = interpret(parse(f"x1 ~ uniform(); x2 ~ uniform(); {shear}; return x1, x2"))
@@ -527,9 +526,60 @@ OVERFLOW_AND_INFEASIBLE = [
 ]
 
 
+_SPLIT_COEFFS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.5)
+
+
+def _signed(coeff: float, name: str) -> str:
+    return f"{'-' if coeff < 0 else '+'} {abs(coeff)!r}*{name}"
+
+
+@st.composite
+def _deterministic_conflicts(draw):
+    """A random program that observes deterministic combinations at wrong
+    values, and the line of the first such observation.
+
+    ``d = c + s1*x + s2*x + ...`` is observed as ``d - t*x - ... == c + off``
+    with ``t`` the decimal ``s1 + s2``, whose float differs from the sum by
+    rounding, so the observed row is rounding residue: off its support for
+    any ``off`` of unit size.  Feasible observations in between each pin a
+    fresh noisy normal, so no earlier observation shrinks the covariance to
+    residue scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines, names, truth, first = [], [], {}, None
+    for i in range(draw(st.integers(2, 7))):
+        name = f"v{i}"
+        if not names or rng.random() < 0.4:
+            uniform = rng.random() < 0.4
+            lines.append(f"{name} ~ {'uniform()' if uniform else 'normal(1.0, 0.5)'}")
+            truth[name] = float(rng.uniform(-2.0, 2.0))
+        else:
+            mean, value = _affine_text(rng, names, truth, int(rng.integers(1, 3)))
+            lines.append(f"{name} ~ normal({mean}, 1.0)")
+            truth[name] = value + float(rng.standard_normal())
+            if rng.random() < 0.5:
+                lines.append(f"observe {name} == {_literal(truth[name])}")
+        names.append(name)
+        if rng.random() < 0.5:
+            const = float(rng.integers(-3, 4))
+            parts, rest = [f"d{i} = {_literal(const)}"], [f"d{i}"]
+            for x in rng.choice(names, size=int(rng.integers(1, min(3, len(names)) + 1)),
+                                replace=False):
+                s1, s2 = (float(rng.choice(_SPLIT_COEFFS)) for _ in range(2))
+                sign = float(rng.choice([-1.0, 1.0]))
+                parts += [_signed(sign * s1, x), _signed(sign * s2, x)]
+                rest.append(_signed(-sign * round(s1 + s2, 10), x))
+            lines.append(" ".join(parts))
+            off = float(rng.choice([-2.0, -1.0, 1.0, 2.5]))
+            lines.append(f"observe {' '.join(rest)} == {_literal(const + off)}")
+            first = first or len(lines)
+    lines.append(f"return {names[-1]}")
+    return "\n".join(lines) + "\n", first
+
+
 class TestDeferredObservations:
-    """The interpreter defers every observation to one stacked observe; the
-    sequential reference conditions at each observation.  They must agree."""
+    """The interpreter defers every observation to one conditional of the
+    observed and returned rows; the sequential reference conditions at each
+    observation.  They must agree."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_sequential_reference(self, seed):
@@ -570,9 +620,41 @@ class TestDeferredObservations:
         report = interpret(parse("x ~ normal(0, 1e300); observe x == 0; y = 1e300*x; return y"))
         assert report.posterior.equals(E.dirac([0.0]))
 
+    def test_rounding_residue_is_no_support(self):
+        # the observed row is 2.8e-17 times x1's generator column: residue,
+        # since the generator's columns are scaled to a largest entry near 1
+        program = parse("x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; observe a - 0.3*x1 == 5; return x1")
+        for run in (interpret, _reference_interpret):
+            with pytest.raises(InfeasibleObservation, match="^1:38: "):
+                run(program)
+
+    def test_observed_rows_of_different_scales(self):
+        # the observed rows of the generator are cut at rank_rel_tol, not
+        # relative to their largest singular value (1e11 here), which would
+        # drop x2's direction and refuse the second observation
+        program = parse(
+            "x1 ~ uniform(); x2 ~ uniform(); observe 1e11*x1 == 1; observe x2 == 3; return x1, x2")
+        report = interpret(program)
+        assert report.posterior.equals(E.dirac([1e-11, 3.0]))
+        assert _max_gap(report.posterior, _reference_interpret(program).posterior) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_deterministic_conflicts())
+    def test_infeasible_programs_fail_where_the_reference_does(self, case):
+        source, line = case
+        program = parse(source)
+        got, expected = _outcome(interpret, program), _outcome(_reference_interpret, program)
+        if line is None:
+            assert _max_gap(got.posterior, expected.posterior) <= 1e-9, source
+            return
+        assert isinstance(got, tuple) and isinstance(expected, tuple), source
+        assert got[0] is expected[0] is InfeasibleObservation, source
+        assert got[1].split(": ")[0] == expected[1].split(": ")[0] == f"{line}:1", source
+
     def test_one_observe_per_program(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("extgauss.dsl.observe", lambda *a: calls.append(a) or E.observe(*a))
+        monkeypatch.setattr("extgauss.dsl._condition_rows",
+                            lambda *a: calls.append(a) or E._condition_rows(*a))
         source = "u ~ uniform()\n" + "".join(
             f"x{i} ~ normal(u, 1)\nobserve x{i} == {i}\n" for i in range(8)) + "return u"
         interpret(parse(source))

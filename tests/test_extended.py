@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extgauss import decorated
 from extgauss import extended as E
@@ -758,6 +760,36 @@ class TestObserveAtAPoint:
         post = observe(uniform(2), [[1.0, 1.0]], [4.0])
         assert post.nondet.dim == 1
         np.testing.assert_allclose(post.mean, [2.0, 2.0], atol=1e-12)
+
+
+def _low_rank(rng, rows, cols, rank):
+    """A random rows-by-cols matrix of rank at most ``rank``."""
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+class TestConditionRows:
+    """``_condition_rows`` conditions a joint given in generator form, with
+    an unnormalized covariance, and keeps the returned rows: the same
+    posterior as ``observe`` and then ``marginal`` on the normal form."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_observe_then_marginal(self, seed):
+        rng = np.random.default_rng(seed)
+        k, r, u = (int(rng.integers(lo, 5)) for lo in (1, 1, 0))
+        # rank-deficient observed and returned blocks of the generator, and
+        # a covariance of any rank
+        g = np.vstack([_low_rank(rng, k, u, int(rng.integers(0, min(k, u) + 1))),
+                       _low_rank(rng, r, u, int(rng.integers(0, min(r, u) + 1)))])
+        f = rng.standard_normal((k + r, int(rng.integers(0, k + r + 1))))
+        mean, cov = rng.standard_normal(k + r), f @ f.T
+        value = mean[:k] + g[:k] @ rng.standard_normal(u) + f[:k] @ rng.standard_normal(f.shape[1])
+        got = E._condition_rows(mean, cov, g, k, value)
+        psi = ExtendedGaussian(Subspace.span(list(g.T), ambient_dim=k + r), mean, cov)
+        obs = np.eye(k + r)[:k]
+        expected = E.marginal(observe(psi, obs, value), range(k, k + r))
+        assert got.nondet.dim == expected.nondet.dim
+        assert _max_gap(got, expected) <= 1e-9
 
 
 def _assert_psd_to_rounding(cov, what):
