@@ -425,18 +425,22 @@ def _located(node):
 class _Lowered:
     """A program's definitions as arrays over its N coordinates, written in
     order: the Gaussian part's ``mean`` and ``cov``, the generator ``g`` of
-    the nondeterminism (N by U, the first ``u`` columns in use) and
-    ``point``, whether a coordinate's Gaussian part is the point mass at 0,
-    as a ``uniform()``'s is.  The given ``mean``, ``cov`` and ``g`` fill the
-    leading blocks, whose coordinates count as live."""
+    the nondeterminism (N by U, the first ``u`` columns in use), ``mag``,
+    the magnitude each entry of ``g`` has before cancellation (the sum of
+    its terms' magnitudes), and ``point``, whether a coordinate's Gaussian
+    part is the point mass at 0, as a ``uniform()``'s is.  The given
+    ``mean``, ``cov`` and ``g`` fill the leading blocks, whose coordinates
+    count as live."""
 
-    __slots__ = ("mean", "cov", "g", "u", "point")
+    __slots__ = ("mean", "cov", "g", "mag", "u", "point")
 
     def __init__(self, size: int, uniforms: int, mean=(), cov=(), g=np.zeros((0, 0))):
         k, self.u = len(mean), g.shape[1]
         self.mean, self.cov = np.zeros(size), np.zeros((size, size))
-        self.g, self.point = np.zeros((size, uniforms)), np.zeros(size, dtype=bool)
+        self.g, self.mag = np.zeros((size, uniforms)), np.zeros((size, uniforms))
+        self.point = np.zeros(size, dtype=bool)
         self.mean[:k], self.cov[:k, :k], self.g[:k, : self.u] = mean, cov, g
+        self.mag[:k, : self.u] = np.abs(g)
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
@@ -456,7 +460,7 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
         if isinstance(dist, UniformDist):  # a point mass at 0 and a unit column of g
-            s.g[n, s.u], s.u, s.point[n] = 1.0, s.u + 1, True
+            s.g[n, s.u], s.mag[n, s.u], s.u, s.point[n] = 1.0, 1.0, s.u + 1, True
             index[stmt.name] = n
             return
         coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
@@ -464,12 +468,14 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
         if not math.isfinite(variance):  # a parsed one is; a hand-built one may not be
             raise NonFiniteInput(f"variance {dist.variance!r} is not finite")
         if s.u:
-            g = s.g[: n + 1, : s.u]
-            g[n] = coeffs @ g[:n]
+            g, mag = s.g[: n + 1, : s.u], s.mag[: n + 1, : s.u]
+            g[n], mag[n] = coeffs @ g[:n], np.abs(coeffs) @ mag[:n]
             if not np.isfinite(g[n]).all():
                 raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
             # each column's largest entry into [0.5, 1): exact, and the same span
-            np.ldexp(g, -np.frexp(np.abs(g).max(axis=0))[1], out=g)
+            e = np.frexp(np.abs(g).max(axis=0))[1]
+            np.ldexp(g, -e, out=g)
+            np.ldexp(mag, -e, out=mag)
         live = np.where(s.point[:n], 0.0, coeffs)
         if live.any():
             row = live @ s.cov[:n, :n]
@@ -482,26 +488,28 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     index[stmt.name] = n
 
 
-def _condition(mean, cov, g, pending: list, rows, tol: Tolerance, at) -> ExtendedGaussian:
-    """Coordinates ``rows`` of ``N(mean, cov) + span(g)`` given the pending
+def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> ExtendedGaussian:
+    """Coordinates ``rows`` of the first ``n`` of ``s`` given the pending
     ``(statement, row, value)``, by one :func:`_condition_rows` on the pushed
     observed and returned rows.  On failure, bisect for the shortest failing
     prefix of the observed rows (prefix feasibility is monotone) and raise at
     its last statement, or at ``at`` if there is none; an overflow there is
     retried after the rows before it, as in program order."""
-    n, k = len(mean), len(pending)
+    k = len(pending)
     p = np.zeros((k + len(rows), n))
     for i, (_, row, _) in enumerate(pending):
         p[i, : row.size] = row
     p[np.arange(k, len(p)), rows] = 1.0
     value = np.array([v for _, _, v in pending])
-    (mean_y, cov_y), g_y = _DEC.push(p, (mean, cov)), p @ g  # checked in _condition_rows
-    scale = float(cov.diagonal().max(initial=0.0))  # the program's covariance scale
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
+        (mean, cov), g_y = _DEC.push(p, (s.mean[:n], s.cov[:n, :n])), p @ s.g[:n, : s.u]
+        mag = (np.abs(p[:k]) @ s.mag[:n, : s.u]).max(axis=1, initial=0.0)
+    scale = float(s.cov[:n, :n].diagonal().max(initial=0.0))  # the program's covariance scale
 
     def prefix(j):  # the first j observed rows and the returned rows
         keep = np.r_[:j, k : len(p)]
-        return _condition_rows(mean_y[keep], cov_y[np.ix_(keep, keep)], g_y[keep], j,
-                               value[:j], tol, scale)
+        return _condition_rows(mean[keep], cov[np.ix_(keep, keep)], g_y[keep], j,
+                               value[:j], mag[:j], tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
@@ -516,8 +524,9 @@ def _condition(mean, cov, g, pending: list, rows, tol: Tolerance, at) -> Extende
         except (InfeasibleObservation, NonFiniteInput) as exc:
             bad, err = mid, exc
     if ok and isinstance(err, NonFiniteInput):
-        post = _condition(mean, cov, g, pending[:ok], range(n), tol, at)
-        return _condition(post.mean, post.cov, post.nondet.basis, pending[ok:], rows, tol, at)
+        post = _condition(s, n, pending[:ok], range(n), tol, at)
+        s = _Lowered(n, post.nondet.dim, post.mean, post.cov, post.nondet.basis)
+        return _condition(s, n, pending[ok:], rows, tol, at)
     with _located(pending[ok][0] if pending else at):
         raise err
 
@@ -545,23 +554,22 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     index: dict = {}  # name -> coordinate
     pending: list = []
     s = _Lowered(*shape)
-    at = program.returns[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # every result is checked
-        for stmt in program.statements:
-            try:
-                _step(s, stmt, index, pending, tol)
-            except NonFiniteInput:  # observing first, as in program order, may avoid it
-                if not pending:
-                    raise
-                n = len(index)
-                post = _condition(s.mean[:n], s.cov[:n, :n], s.g[:n, : s.u], pending,
-                                  range(n), tol, at)
-                checked = ExtendedGaussian(Subspace.zero(n), post.mean, post.cov, tol)
-                s, pending = _Lowered(*shape, checked.mean, checked.cov, post.nondet.basis), []
-                _step(s, stmt, index, pending, tol)
-        n = len(index)
-        posterior = _condition(s.mean[:n], s.cov[:n, :n], s.g[:n, : s.u], pending,
-                               [index[i.name] for i in program.returns], tol, at)
+    stmts, at, i = program.statements, program.returns[0], 0
+    while True:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # _step checks every result
+                for i in range(i, len(stmts)):
+                    _step(s, stmts[i], index, pending, tol)
+            break
+        except NonFiniteInput:  # observing first, as in program order, may avoid it
+            if not pending:
+                raise
+        n = len(index)  # then statement i runs once more
+        post = _condition(s, n, pending, range(n), tol, at)
+        checked = ExtendedGaussian(Subspace.zero(n), post.mean, post.cov, tol)
+        s, pending = _Lowered(*shape, checked.mean, checked.cov, post.nondet.basis), []
+    rows = [index[r.name] for r in program.returns]
+    posterior = _condition(s, len(index), pending, rows, tol, at)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

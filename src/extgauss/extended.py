@@ -52,9 +52,6 @@ class InfeasibleObservation(ValueError):
     """An exact observation lies outside the support of the variable."""
 
 
-_OFF_SUPPORT = "observed value lies outside the support of the observed quantity"
-
-
 class ExtendedGaussianMap(DecoratedRelation):
     """``x -> lin @ x + N(mean, cov) + nondet`` from R^n to R^m.
 
@@ -296,46 +293,54 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     if not np.isfinite(cov_scale):  # finite entries such as 1e308 can overflow it
         raise NonFiniteInput("joint covariance has an infinite norm")
     supp = minkowski_sum(column_space(cov[:k, :k], tol, scale=cov_scale), split[2], tol)
-    resid = value - mean[:k]
-    off = resid - supp.basis @ (supp.basis.T @ resid)
-    if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
-        raise InfeasibleObservation(_OFF_SUPPORT)
-    nondet, lin, (mean, cov) = _conditional(np.zeros((k + n, 0)), (mean, cov), split, tol)
-    return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((n, 0)), (mean + lin @ value, cov))
+    return _observed(mean, cov, split, supp.basis, value - mean[:k], value, tol)
 
 
-def _condition_rows(mean, cov, g, k: int, value, tol: Tolerance = DEFAULT_TOL,
-                    scale: float = 0.0) -> ExtendedGaussian:
+def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
+                    scale: float) -> ExtendedGaussian:
     """Observe the first k coordinates of ``N(mean, cov) + span(g)`` at
     ``value`` and keep the rest: :func:`observe` then :func:`marginal`, on
-    a joint in generator form whose ``cov`` need not be normalized.  One
-    SVD of the observed rows ``g_o``, cut at ``rank_rel_tol`` (a
-    generator's columns are scaled to a largest entry near 1, as an
-    orthonormal basis's are), gives the graph decomposition
-    ``h = g_r V_q S_q^-1 U_q^T``, ``H = col(g_r V_perp)`` cut at
-    ``||g_r||_2``.  A cut relative to the largest singular value, or one
-    cut of both blocks, would let a steep observed row hide the other
-    rows' directions.  The residual off ``U_q`` must lie in the column
-    space of the observed covariance there, cut at ``max(||cov||_2, scale)``."""
+    a joint in generator form, ``cov`` not normalized.  The observed rows
+    ``g_o`` are scaled by ``D^-1``, powers of two that bring ``mag`` (each
+    row's magnitude before cancellation) into [0.5, 1); one SVD cut at
+    ``rank_rel_tol`` then tells rank from residue at any row scale.  It gives
+    ``h = g_r V_q S_q^-1 U_q^T D^-1``, ``U = col(D^-1 U_perp)`` and, cut
+    apart so a steep row cannot hide the others, ``H = col(g_r V_perp)`` at
+    ``||g_r||_2``.  The residual's part in ``U`` must lie in the observed
+    covariance's column space, cut at ``max(||cov||_2, scale)``."""
     _check_finite(mean=mean, cov=cov, nondet=g)
-    g_o, g_r = g[:k], g[k:]
+    e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
+    g_o, g_r = np.ldexp(g[:k], -e[:, None]), g[k:]
     # an empty block gets what numpy's SVD returns for it, without the call
     u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
     q = int(np.sum(s > tol.rank_rel_tol))
-    h = (g_r @ vt[:q].T / s[:q]) @ u[:, :q].T
+    h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, -e)
     eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0)
-    perp = _fix_signs(u[:, q:])
+    perp = u[:, q:]
+    if 0 < q < k and np.ptp(e):  # D^-1 U_perp is not orthonormal
+        perp = _svd(np.ldexp(perp, -e[:, None]), full_matrices=False)[0]
+    perp, supp, resid = _fix_signs(perp), np.zeros((0, 0)), np.zeros(0)
     if k:
         anchor = max(float(np.linalg.norm(cov, 2)), scale)
         if not np.isfinite(anchor):  # finite entries such as 1e308 can overflow it
             raise NonFiniteInput("joint covariance has an infinite norm")
         supp = column_space(perp.T @ cov[:k, :k] @ perp, tol, scale=anchor).basis
         resid = perp.T @ (value - mean[:k])
-        off = resid - supp @ (supp.T @ resid)
-        if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
-            raise InfeasibleObservation(_OFF_SUPPORT)
-    split = (h, eta, Subspace._of(k, _fix_signs(u[:, :q])), Subspace._of(k, perp))
-    nondet, lin, (mean, cov) = _conditional(np.zeros((len(g), 0)), (mean, cov), split, tol)
+    split = (h, eta, None, Subspace._of(k, perp))  # _conditional reads no D_X
+    return _observed(mean, cov, split, supp, resid, value, tol)
+
+
+def _observed(mean, cov, split, supp, resid, value, tol: Tolerance) -> ExtendedGaussian:
+    """The tail of :func:`observe`: unless ``resid`` lies in the span of the
+    orthonormal ``supp``, raise :class:`InfeasibleObservation`; else condition
+    ``N(mean, cov)`` on its first k coordinates at ``value`` along the graph
+    decomposition ``split``, keeping the other coordinates."""
+    off = resid - supp @ (supp.T @ resid)
+    if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
+        raise InfeasibleObservation(
+            "observed value lies outside the support of the observed quantity"
+        )
+    nondet, lin, (mean, cov) = _conditional(np.zeros((len(mean), 0)), (mean, cov), split, tol)
     mean = mean + lin @ value
     _check_finite(mean=mean, cov=cov)
     return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((len(mean), 0)), (mean, cov))

@@ -638,6 +638,47 @@ class TestDeferredObservations:
         assert report.posterior.equals(E.dirac([1e-11, 3.0]))
         assert _max_gap(report.posterior, _reference_interpret(program).posterior) <= 1e-12
 
+    # After y, the generator's column rescaling leaves the x1 and x2 rows at
+    # 2^-34.  Each observed row is scaled by the magnitude of its terms
+    # before the rank cut, so x1 - x2 keeps its rank.  The statement-by-
+    # statement reference refuses value 1 and loses x1 + x2 at value 0, so
+    # the expected posteriors are written out.
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_observed_row_scaled_down_by_a_steep_assignment(self, value):
+        head = f"x1 ~ uniform(); x2 ~ uniform(); y = 1e10*x1 + 1e10*x2; observe x1 - x2 == {value}; "
+        assert interpret(parse(head + "return y")).posterior.nondet.dim == 1
+        xs = interpret(parse(head + "return x1, x2")).posterior
+        assert xs.equals(ExtendedGaussian(
+            Subspace.span([[1.0, 1.0]]), np.array([value, -value]) / 2, np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("steep", [1e10, 1e12])
+    def test_observed_uniform_read_by_a_steep_assignment(self, steep):
+        report = interpret(parse(f"x1 ~ uniform(); y = {steep!r}*x1; observe x1 == 1; return y"))
+        assert report.posterior.nondet.dim == 0
+        np.testing.assert_allclose(report.posterior.mean, [steep], rtol=1e-15)
+
+    def test_steep_and_scaled_down_rows_together(self):
+        head = "x1 ~ uniform(); x2 ~ uniform(); y = 1e10*x1 + 1e10*x2; "
+        xs = interpret(parse(head + "observe y == 5; observe x1 - x2 == 1; return x1, x2"))
+        assert xs.posterior.nondet.dim == 0
+        np.testing.assert_allclose(xs.posterior.mean, [0.5 + 2.5e-10, -0.5 + 2.5e-10], rtol=1e-12)
+        # x1 - x2 is completely unknown, so observing x1 - x2 + z tells nothing of z
+        z = interpret(parse(head + "z ~ normal(0, 1); observe x1 - x2 + z == 1; return z"))
+        assert z.posterior.equals(E.gaussian([0.0], [[1.0]]))
+
+    def test_a_small_row_has_rank_and_cancellation_residue_has_none(self):
+        report = interpret(parse("x1 ~ uniform(); y = 1e-11*x1; observe y == 1e-11; return x1"))
+        assert report.posterior.nondet.dim == 0
+        np.testing.assert_allclose(report.posterior.mean, [1.0], rtol=1e-15)
+        # the same residue, made in an assignment or by a steep row
+        for source, at in (
+            ("x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; b = a - 0.3*x1; observe b == 5; return a", 54),
+            ("x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; b = 1e10*a; observe b - 3e9*x1 == 5; return a",
+             50),
+        ):
+            with pytest.raises(InfeasibleObservation, match=f"^1:{at}: "):
+                interpret(parse(source))
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_deterministic_conflicts())
     def test_infeasible_programs_fail_where_the_reference_does(self, case):
