@@ -35,7 +35,7 @@ from .extended import (
     _condition_rows,
 )
 from .gauss import psd_normalize
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, _check_finite
+from .subspace import DEFAULT_TOL, Tolerance, _check_finite
 
 RESERVED = frozenset({"return", "observe", "normal", "uniform"})
 
@@ -428,19 +428,14 @@ class _Lowered:
     the nondeterminism (N by U, the first ``u`` columns in use), ``mag``,
     the magnitude each entry of ``g`` has before cancellation (the sum of
     its terms' magnitudes), and ``point``, whether a coordinate's Gaussian
-    part is the point mass at 0, as a ``uniform()``'s is.  The given
-    ``mean``, ``cov`` and ``g`` fill the leading blocks, whose coordinates
-    count as live."""
+    part is the point mass at 0, as a ``uniform()``'s is."""
 
     __slots__ = ("mean", "cov", "g", "mag", "u", "point")
 
-    def __init__(self, size: int, uniforms: int, mean=(), cov=(), g=np.zeros((0, 0))):
-        k, self.u = len(mean), g.shape[1]
+    def __init__(self, size: int, uniforms: int):
         self.mean, self.cov = np.zeros(size), np.zeros((size, size))
         self.g, self.mag = np.zeros((size, uniforms)), np.zeros((size, uniforms))
-        self.point = np.zeros(size, dtype=bool)
-        self.mean[:k], self.cov[:k, :k], self.g[:k, : self.u] = mean, cov, g
-        self.mag[:k, : self.u] = np.abs(g)
+        self.u, self.point = 0, np.zeros(size, dtype=bool)
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
@@ -503,13 +498,13 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
     value = np.array([v for _, _, v in pending])
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         (mean, cov), g_y = _DEC.push(p, (s.mean[:n], s.cov[:n, :n])), p @ s.g[:n, : s.u]
-        mag = (np.abs(p[:k]) @ s.mag[:n, : s.u]).max(axis=1, initial=0.0)
+        mag = (np.abs(p) @ s.mag[:n, : s.u]).max(axis=1, initial=0.0)
     scale = float(s.cov[:n, :n].diagonal().max(initial=0.0))  # the program's covariance scale
 
     def prefix(j):  # the first j observed rows and the returned rows
         keep = np.r_[:j, k : len(p)]
         return _condition_rows(mean[keep], cov[np.ix_(keep, keep)], g_y[keep], j,
-                               value[:j], mag[:j], tol, scale)
+                               value[:j], mag[keep], tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
@@ -524,11 +519,23 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
         except (InfeasibleObservation, NonFiniteInput) as exc:
             bad, err = mid, exc
     if ok and isinstance(err, NonFiniteInput):
-        post = _condition(s, n, pending[:ok], range(n), tol, at)
-        s = _Lowered(n, post.nondet.dim, post.mean, post.cov, post.nondet.basis)
-        return _condition(s, n, pending[ok:], rows, tol, at)
+        return _condition(_refill(s, n, pending[:ok], tol, at), n, pending[ok:], rows, tol, at)
     with _located(pending[ok][0] if pending else at):
         raise err
+
+
+def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> _Lowered:
+    """For the overflow retries: fresh arrays of ``s``'s size whose first
+    ``n`` coordinates, all live, hold ``s`` conditioned on ``pending``.  The
+    new generator is the posterior's orthonormal basis; its entries have
+    unit magnitude on each coordinate that read nondeterminism before, so
+    that residue of the conditioning is not read as rank."""
+    post = _condition(s, n, pending, range(n), tol, at)
+    t, b = _Lowered(*s.g.shape), post.nondet.basis
+    t.u = b.shape[1]
+    t.mean[:n], t.cov[:n, :n], t.g[:n, : t.u] = post.mean, post.cov, b
+    t.mag[:n, : t.u] = s.mag[:n, : s.u].any(axis=1)[:, None]
+    return t
 
 
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
@@ -564,10 +571,7 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
         except NonFiniteInput:  # observing first, as in program order, may avoid it
             if not pending:
                 raise
-        n = len(index)  # then statement i runs once more
-        post = _condition(s, n, pending, range(n), tol, at)
-        checked = ExtendedGaussian(Subspace.zero(n), post.mean, post.cov, tol)
-        s, pending = _Lowered(*shape, checked.mean, checked.cov, post.nondet.basis), []
+        s, pending = _refill(s, len(index), pending, tol, at), []  # then statement i again
     rows = [index[r.name] for r in program.returns]
     posterior = _condition(s, len(index), pending, rows, tol, at)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)

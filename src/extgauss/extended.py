@@ -263,12 +263,13 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     """Condition on the exact linear event ``obs @ x = value``.
 
     The residual ``obs @ x`` is adjoined as k auxiliary coordinates by
-    pushing the arrays along ``a = [obs; I]``, unnormalized and unchecked;
-    ``a`` is injective, so one SVD with no rank cutoff gives a basis of
-    ``a D``, whose graph decomposition serves the support check and the
-    conditional on those coordinates, evaluated at the observed value.
-    Raises :class:`InfeasibleObservation` when the value lies outside the
-    support of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
+    pushing the arrays and the basis ``B`` of the nondeterminism along
+    ``a = [obs; I]``, unnormalized and unchecked, and :func:`_condition_rows`
+    conditions that joint on them at the observed value.  ``B`` enters with
+    unit magnitude on each coordinate it spans, so a row's magnitude is
+    ``|a|`` summed over those coordinates.  Raises
+    :class:`InfeasibleObservation` when the value lies outside the support
+    of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     value = np.asarray(value, dtype=float).reshape(-1)
@@ -278,44 +279,37 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     if value.shape != (k,):
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
-    a = np.vstack([obs, np.eye(n)])
-    with np.errstate(over="ignore", invalid="ignore"):
+    a, b = np.vstack([obs, np.eye(n)]), psi.nondet.basis
+    spanned = np.linalg.norm(b, axis=1) > tol.rank_rel_tol
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         mean, cov = _DEC.push(a, psi.noise)
-        pushed = a @ psi.nondet.basis
-    _check_finite(mean=mean, cov=cov, nondet=pushed)  # the observed quantity can overflow
-    d = Subspace.zero(k + n)
-    if psi.nondet.dim:  # a is injective, so a D has the dimension of D: no rank cut
-        d = Subspace._of(k + n, _fix_signs(_svd(pushed, full_matrices=False)[0]))
-    split = graph_decompose(d, k, tol)
-    # anchor the support's rank cutoff at the joint's covariance scale so
-    # that rounding residue from earlier conditioning cannot fake support
-    cov_scale = float(np.linalg.norm(cov, 2)) if cov.size else 0.0
-    if not np.isfinite(cov_scale):  # finite entries such as 1e308 can overflow it
-        raise NonFiniteInput("joint covariance has an infinite norm")
-    supp = minkowski_sum(column_space(cov[:k, :k], tol, scale=cov_scale), split[2], tol)
-    return _observed(mean, cov, split, supp.basis, value - mean[:k], value, tol)
+        g, mag = a @ b, np.abs(a) @ spanned
+    return _condition_rows(mean, cov, g, k, value, mag, tol, 0.0)
 
 
 def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
                     scale: float) -> ExtendedGaussian:
     """Observe the first k coordinates of ``N(mean, cov) + span(g)`` at
-    ``value`` and keep the rest: :func:`observe` then :func:`marginal`, on
-    a joint in generator form, ``cov`` not normalized.  The observed rows
-    ``g_o`` are scaled by ``D^-1``, powers of two that bring ``mag`` (each
-    row's magnitude before cancellation) into [0.5, 1); one SVD cut at
-    ``rank_rel_tol`` then tells rank from residue at any row scale.  It gives
-    ``h = g_r V_q S_q^-1 U_q^T D^-1``, ``U = col(D^-1 U_perp)`` and, cut
-    apart so a steep row cannot hide the others, ``H = col(g_r V_perp)`` at
-    ``||g_r||_2``.  The residual's part in ``U`` must lie in the observed
-    covariance's column space, cut at ``max(||cov||_2, scale)``."""
+    ``value`` and keep the other r, on a joint in generator form, ``cov``
+    not normalized; ``mag`` is each row's magnitude before cancellation.
+    The observed rows ``g_o`` are scaled by ``D^-1``, powers of two that
+    bring their ``mag`` into [0.5, 1); one SVD cut at ``rank_rel_tol`` then
+    tells rank from residue at any row scale.  It gives ``h = g_r V_q S_q^-1
+    U_q^T D^-1``, ``U = col(D^-1 U_perp)`` and ``H = col(g_r V_perp)``, cut
+    apart so a steep row cannot hide the others, at ``max(||g_r||_2, largest
+    returned mag)``.  Unless the residual's part in ``U`` lies in the
+    observed covariance's column space, cut at ``max(||cov||_2, scale)``,
+    raise :class:`InfeasibleObservation`; else condition ``N(mean, cov)``
+    along that graph decomposition and evaluate at ``value``."""
     _check_finite(mean=mean, cov=cov, nondet=g)
-    e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
+    e = np.frexp(mag[:k])[1]  # 0 for a row that reads no nondeterminism
     g_o, g_r = np.ldexp(g[:k], -e[:, None]), g[k:]
     # an empty block gets what numpy's SVD returns for it, without the call
     u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
     q = int(np.sum(s > tol.rank_rel_tol))
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, -e)
-    eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0)
+    top = float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0
+    eta = column_space(g_r @ vt[q:].T, tol, max(top, float(mag[k:].max(initial=0.0))))
     perp = u[:, q:]
     if 0 < q < k and np.ptp(e):  # D^-1 U_perp is not orthonormal
         perp = _svd(np.ldexp(perp, -e[:, None]), full_matrices=False)[0]
@@ -326,20 +320,12 @@ def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
             raise NonFiniteInput("joint covariance has an infinite norm")
         supp = column_space(perp.T @ cov[:k, :k] @ perp, tol, scale=anchor).basis
         resid = perp.T @ (value - mean[:k])
-    split = (h, eta, None, Subspace._of(k, perp))  # _conditional reads no D_X
-    return _observed(mean, cov, split, supp, resid, value, tol)
-
-
-def _observed(mean, cov, split, supp, resid, value, tol: Tolerance) -> ExtendedGaussian:
-    """The tail of :func:`observe`: unless ``resid`` lies in the span of the
-    orthonormal ``supp``, raise :class:`InfeasibleObservation`; else condition
-    ``N(mean, cov)`` on its first k coordinates at ``value`` along the graph
-    decomposition ``split``, keeping the other coordinates."""
     off = resid - supp @ (supp.T @ resid)
     if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
         raise InfeasibleObservation(
             "observed value lies outside the support of the observed quantity"
         )
+    split = (h, eta, None, Subspace._of(k, perp))  # _conditional reads no D_X
     nondet, lin, (mean, cov) = _conditional(np.zeros((len(mean), 0)), (mean, cov), split, tol)
     mean = mean + lin @ value
     _check_finite(mean=mean, cov=cov)

@@ -290,6 +290,7 @@ class TestArrayLowering:
         "x ~ uniform(); a = x; y ~ normal(2*a + 1, 2); observe y == 3; return x, a, y",
         "x ~ uniform(); observe x == 2; y ~ normal(3*x - 1, 1); return x, y",
         "x ~ uniform(); a = x; b = 2*a; w ~ normal(b, 1); u ~ normal(w + a, 1); return u, b",
+        "x ~ uniform(); observe 1e-11*x == 2e-11; return x",
     ])
     def test_point_masses_match_the_reference(self, source):
         program = parse(source)
@@ -620,6 +621,28 @@ class TestDeferredObservations:
         report = interpret(parse("x ~ normal(0, 1e300); observe x == 0; y = 1e300*x; return y"))
         assert report.posterior.equals(E.dirac([0.0]))
 
+    # The overflow at w conditions on the two pending observations first, and
+    # the run goes on from that posterior.  Its basis reads a's row as the
+    # residue of 0.3*0.7 - 0.7*0.3, which must stay no rank: a is pinned at 1.
+    # The sequential reference loses x's direction, so the x case is written out.
+    _RETRY = ("x ~ uniform(); v ~ uniform(); a = 0.3*x + 0.7*v; observe a == 1; "
+              "z ~ normal(0, 1e300); observe z == 0; w = 1e300*z; ")
+
+    def test_overflow_retry_keeps_an_earlier_observation(self):
+        program = parse(self._RETRY + "return w, a")
+        report = interpret(program)
+        assert report.posterior.equals(E.dirac([0.0, 1.0]))
+        assert _max_gap(report.posterior, _reference_interpret(program).posterior) <= 1e-12
+        xs = interpret(parse(self._RETRY + "return w, x")).posterior
+        assert xs.equals(
+            ExtendedGaussian(Subspace.span([[0.0, 1.0]]), np.zeros(2), np.zeros((2, 2))))
+
+    def test_overflow_retry_refuses_a_conflicting_observation(self):
+        program = parse(self._RETRY + "observe a == 2; return w, a")
+        for run in (interpret, _reference_interpret):
+            with pytest.raises(InfeasibleObservation, match="^1:117: "):
+                run(program)
+
     def test_rounding_residue_is_no_support(self):
         # the observed row is 2.8e-17 times x1's generator column: residue,
         # since the generator's columns are scaled to a largest entry near 1
@@ -678,6 +701,12 @@ class TestDeferredObservations:
         ):
             with pytest.raises(InfeasibleObservation, match=f"^1:{at}: "):
                 interpret(parse(source))
+
+    def test_a_returned_row_of_residue_is_a_point_mass(self):
+        # b's generator row is the residue of 0.1 + 0.2 - 0.3, cut relative
+        # to the 0.6 its terms had: b is 0, as observing it refuses b == 5
+        report = interpret(parse("x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; b = a - 0.3*x1; return b"))
+        assert report.posterior.equals(E.dirac([0.0]))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_deterministic_conflicts())

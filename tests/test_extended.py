@@ -742,6 +742,34 @@ class TestObserveAtAPoint:
         assert post.nondet.equals(Subspace.span([[0.0, 1.0]]))
         np.testing.assert_allclose(post.mean, [1.0 / scale, 0.0], rtol=1e-12, atol=0.0)
 
+    def test_a_small_coefficient_has_rank(self):
+        # the row 1e-11 reads a coordinate of D with unit magnitude, so it is
+        # scaled to unit size before the rank cut and pins x
+        post = observe(uniform(1), [[1e-11]], [2e-11])
+        assert post.nondet.dim == 0
+        np.testing.assert_allclose(post.mean, [2.0], rtol=1e-15)
+
+    def test_a_large_coefficient_of_a_gaussian_coordinate_scales_nothing(self):
+        # only coordinates that D spans count towards a row's magnitude: x1's
+        # unit coefficient keeps its rank beside x0's 1e12, so x1 absorbs the
+        # observation and x0 keeps its prior
+        psi = ExtendedGaussian(Subspace.span([[0.0, 1.0]]), np.zeros(2), np.diag([1.0, 0.0]))
+        post = observe(psi, [[1e12, 1.0]], [5.0])
+        assert post.nondet.dim == 0
+        np.testing.assert_allclose(post.mean, [0.0, 5.0], atol=1e-12)
+        np.testing.assert_allclose(post.cov, [[1.0, -1e12], [-1e12, 1e24]], rtol=1e-12)
+
+    def test_a_residue_row_of_the_basis_gains_no_rank(self):
+        # x0 has no nondeterminism, but an orthonormal basis computed for D
+        # can read rounding residue on its row (3e-15 here, 2.7e-15 on seed
+        # 55983465 of TestConditionRows); such a row enters with magnitude 0,
+        # so the observation of x0 stays residue on D and conditions x0
+        psi = ExtendedGaussian(Subspace(2, [[3e-15], [1.0]]), np.zeros(2), np.diag([1.0, 0.0]))
+        post = observe(psi, [[1.0, 0.0]], [0.5])
+        assert post.nondet.equals(Subspace.span([[0.0, 1.0]]))
+        np.testing.assert_allclose(post.mean, [0.5, 0.0], atol=1e-12)
+        np.testing.assert_allclose(post.cov, np.zeros((2, 2)), atol=1e-12)
+
     def test_no_svd_without_nondeterminism(self, monkeypatch):
         psi = E.gaussian([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
         calls = []
@@ -770,11 +798,11 @@ def _low_rank(rng, rows, cols, rank):
 class TestConditionRows:
     """``_condition_rows`` conditions a joint given in generator form, with
     an unnormalized covariance, and keeps the returned rows: the same
-    posterior as ``observe`` and then ``marginal`` on the normal form."""
+    posterior as ``conditional`` on the normal form, at the value."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2**32 - 1))
-    def test_matches_observe_then_marginal(self, seed):
+    def test_matches_the_conditional_at_the_value(self, seed):
         rng = np.random.default_rng(seed)
         k, r, u = (int(rng.integers(lo, 5)) for lo in (1, 1, 0))
         # rank-deficient observed and returned blocks of the generator, the
@@ -786,11 +814,13 @@ class TestConditionRows:
         f = rng.standard_normal((k + r, int(rng.integers(0, k + r + 1))))
         mean, cov = rng.standard_normal(k + r), f @ f.T
         value = mean[:k] + g[:k] @ rng.standard_normal(u) + f[:k] @ rng.standard_normal(f.shape[1])
-        mag = np.abs(g[:k]).max(axis=1, initial=0.0)  # no row is cancellation residue
+        mag = np.abs(g).max(axis=1, initial=0.0)  # no row is cancellation residue
         got = E._condition_rows(mean, cov, g, k, value, mag, DEFAULT_TOL, 0.0)
         psi = ExtendedGaussian(Subspace.span(list(g.T), ambient_dim=k + r), mean, cov)
-        obs = np.eye(k + r)[:k]
-        expected = E.marginal(observe(psi, obs, value), range(k, k + r))
+        supp = E.support(E.marginal(psi, range(k)))
+        assert supp.noise_space.contains(value - supp.offset)
+        cond = E.conditional(psi, k)
+        expected = ExtendedGaussian(cond.nondet, cond.lin @ value + cond.mean, cond.cov)
         assert got.nondet.dim == expected.nondet.dim
         assert _max_gap(got, expected) <= 1e-9
 
