@@ -427,8 +427,8 @@ class _Lowered:
     order: the Gaussian part's ``mean`` and ``cov``, the generator ``g`` of
     the nondeterminism (N by U, the first ``u`` columns in use), ``mag``,
     the magnitude each entry of ``g`` has before cancellation (the sum of
-    its terms' magnitudes), and ``point``, whether a coordinate's Gaussian
-    part is the point mass at 0, as a ``uniform()``'s is."""
+    its terms' magnitudes, 0 for residue), and ``point``, whether a
+    coordinate's Gaussian part is the point mass at 0, as a ``uniform()``'s is."""
 
     __slots__ = ("mean", "cov", "g", "mag", "u", "point")
 
@@ -467,6 +467,7 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             g[n], mag[n] = coeffs @ g[:n], np.abs(coeffs) @ mag[:n]
             if not np.isfinite(g[n]).all():
                 raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
+            _drop_residue(g[n], mag[n], tol)
             # each column's largest entry into [0.5, 1): exact, and the same span
             e = np.frexp(np.abs(g).max(axis=0))[1]
             np.ldexp(g, -e, out=g)
@@ -498,13 +499,14 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
     value = np.array([v for _, _, v in pending])
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         (mean, cov), g_y = _DEC.push(p, (s.mean[:n], s.cov[:n, :n])), p @ s.g[:n, : s.u]
-        mag = (np.abs(p) @ s.mag[:n, : s.u]).max(axis=1, initial=0.0)
+        mag = np.abs(p) @ s.mag[:n, : s.u]
+        _drop_residue(g_y, mag, tol)
     scale = float(s.cov[:n, :n].diagonal().max(initial=0.0))  # the program's covariance scale
 
     def prefix(j):  # the first j observed rows and the returned rows
         keep = np.r_[:j, k : len(p)]
         return _condition_rows(mean[keep], cov[np.ix_(keep, keep)], g_y[keep], j,
-                               value[:j], mag[keep], tol, scale)
+                               value[:j], mag[:j].max(axis=1, initial=0.0), tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
@@ -527,15 +529,24 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
 def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> _Lowered:
     """For the overflow retries: fresh arrays of ``s``'s size whose first
     ``n`` coordinates, all live, hold ``s`` conditioned on ``pending``.  The
-    new generator is the posterior's orthonormal basis; its entries have
-    unit magnitude on each coordinate that read nondeterminism before, so
-    that residue of the conditioning is not read as rank."""
+    new generator is the posterior's orthonormal basis; each of its rows
+    takes the largest magnitude of the coordinate's old row, so that the
+    residue of the conditioning is dropped and a small row is kept."""
     post = _condition(s, n, pending, range(n), tol, at)
     t, b = _Lowered(*s.g.shape), post.nondet.basis
     t.u = b.shape[1]
     t.mean[:n], t.cov[:n, :n], t.g[:n, : t.u] = post.mean, post.cov, b
-    t.mag[:n, : t.u] = s.mag[:n, : s.u].any(axis=1)[:, None]
+    t.mag[:n, : t.u] = s.mag[:n, : s.u].max(axis=1, initial=0.0)[:, None]
+    _drop_residue(t.g[:n, : t.u], t.mag[:n, : t.u], tol)
     return t
+
+
+def _drop_residue(g, mag, tol: Tolerance) -> None:
+    """Zero, in place, each entry of ``g`` below ``rank_rel_tol`` times its
+    magnitude ``mag``, and that magnitude: cancellation residue, or a
+    magnitude that overflowed.  An entry of ``g`` that overflowed stays."""
+    res = np.abs(g) < tol.rank_rel_tol * mag
+    g[res] = mag[res] = 0.0
 
 
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:

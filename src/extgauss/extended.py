@@ -266,8 +266,8 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     pushing the arrays and the basis ``B`` of the nondeterminism along
     ``a = [obs; I]``, unnormalized and unchecked, and :func:`_condition_rows`
     conditions that joint on them at the observed value.  ``B`` enters with
-    unit magnitude on each coordinate it spans, so a row's magnitude is
-    ``|a|`` summed over those coordinates.  Raises
+    unit magnitude on each coordinate it spans, so an observed row's
+    magnitude is ``|obs|`` summed over those coordinates.  Raises
     :class:`InfeasibleObservation` when the value lies outside the support
     of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
     """
@@ -280,10 +280,9 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
     a, b = np.vstack([obs, np.eye(n)]), psi.nondet.basis
-    spanned = np.linalg.norm(b, axis=1) > tol.rank_rel_tol
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         mean, cov = _DEC.push(a, psi.noise)
-        g, mag = a @ b, np.abs(a) @ spanned
+        g, mag = a @ b, np.abs(obs) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
     return _condition_rows(mean, cov, g, k, value, mag, tol, 0.0)
 
 
@@ -291,25 +290,24 @@ def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
                     scale: float) -> ExtendedGaussian:
     """Observe the first k coordinates of ``N(mean, cov) + span(g)`` at
     ``value`` and keep the other r, on a joint in generator form, ``cov``
-    not normalized; ``mag`` is each row's magnitude before cancellation.
-    The observed rows ``g_o`` are scaled by ``D^-1``, powers of two that
-    bring their ``mag`` into [0.5, 1); one SVD cut at ``rank_rel_tol`` then
-    tells rank from residue at any row scale.  It gives ``h = g_r V_q S_q^-1
-    U_q^T D^-1``, ``U = col(D^-1 U_perp)`` and ``H = col(g_r V_perp)``, cut
-    apart so a steep row cannot hide the others, at ``max(||g_r||_2, largest
-    returned mag)``.  Unless the residual's part in ``U`` lies in the
+    not normalized; ``mag`` is each observed row's magnitude before
+    cancellation.  The observed rows ``g_o`` are scaled by ``D^-1``, powers
+    of two that bring their ``mag`` into [0.5, 1); one SVD cut at
+    ``rank_rel_tol`` then tells rank from residue at any row scale.  It
+    gives ``h = g_r V_q S_q^-1 U_q^T D^-1``, ``U = col(D^-1 U_perp)`` and,
+    cut apart so a steep row cannot hide the others, ``H = col(g_r V_perp)``
+    at ``||g_r||_2``.  Unless the residual's part in ``U`` lies in the
     observed covariance's column space, cut at ``max(||cov||_2, scale)``,
     raise :class:`InfeasibleObservation`; else condition ``N(mean, cov)``
     along that graph decomposition and evaluate at ``value``."""
     _check_finite(mean=mean, cov=cov, nondet=g)
-    e = np.frexp(mag[:k])[1]  # 0 for a row that reads no nondeterminism
+    e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
     g_o, g_r = np.ldexp(g[:k], -e[:, None]), g[k:]
     # an empty block gets what numpy's SVD returns for it, without the call
     u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
     q = int(np.sum(s > tol.rank_rel_tol))
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, -e)
-    top = float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0
-    eta = column_space(g_r @ vt[q:].T, tol, max(top, float(mag[k:].max(initial=0.0))))
+    eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0)
     perp = u[:, q:]
     if 0 < q < k and np.ptp(e):  # D^-1 U_perp is not orthonormal
         perp = _svd(np.ldexp(perp, -e[:, None]), full_matrices=False)[0]

@@ -261,6 +261,13 @@ class TestInterpret:
                                match="^1:37: nondeterministic part of 'y' overflows$"):
                 interpret(program)
 
+    def test_overflowing_observed_row_is_reported(self):
+        # the same sum, observed: an overflow, not residue of a cancellation
+        program = parse("x ~ uniform(); a = x; b = x; c = x; "
+                        f"observe {self._OVERFLOWING_ROW[4:]} == 1; return x")
+        with pytest.raises(NonFiniteInput, match="^1:37: nondet has a NaN or infinite entry$"):
+            interpret(program)
+
     def test_overflowing_nondeterminism_is_retried_after_observing(self):
         report = interpret(parse(
             f"x ~ uniform(); v ~ uniform(); a = x; b = x; c = x; observe x == 0; "
@@ -637,6 +644,24 @@ class TestDeferredObservations:
         assert xs.equals(
             ExtendedGaussian(Subspace.span([[0.0, 1.0]]), np.zeros(2), np.zeros((2, 2))))
 
+    # After y, x1's generator row is 2^-37, a real row far below
+    # rank_rel_tol.  The refill keeps that scale in its magnitude, so x1
+    # still has rank after the retry at w: observing it pins y, and
+    # returning it leaves it unknown.  The refilled orthonormal basis holds
+    # x1's 1e-11 entry to about 8e-8 relative, hence the rtol on y.
+    _SMALL = "x1 ~ uniform(); y = 1e11*x1; z ~ normal(0, 1e300); observe z == 0; w = 1e300*z; "
+
+    def test_overflow_retry_keeps_a_small_row_observable(self):
+        report = interpret(parse(self._SMALL + "observe x1 == 1; return y"))
+        assert report.posterior.nondet.dim == 0
+        np.testing.assert_allclose(report.posterior.mean, [1e11], rtol=1e-6)
+        np.testing.assert_allclose(report.posterior.cov, [[0.0]], atol=0.0)
+
+    def test_overflow_retry_keeps_a_small_row_unknown(self):
+        report = interpret(parse(self._SMALL + "return x1"))
+        assert report.posterior.equals(
+            ExtendedGaussian(Subspace.full(1), np.zeros(1), np.zeros((1, 1))))
+
     def test_overflow_retry_refuses_a_conflicting_observation(self):
         program = parse(self._RETRY + "observe a == 2; return w, a")
         for run in (interpret, _reference_interpret):
@@ -707,6 +732,34 @@ class TestDeferredObservations:
         # to the 0.6 its terms had: b is 0, as observing it refuses b == 5
         report = interpret(parse("x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; b = a - 0.3*x1; return b"))
         assert report.posterior.equals(E.dirac([0.0]))
+
+    # y's x column cancels to 0 from terms of 2e300 (2e308 overflows), while
+    # its v column is v's own 0.5: each entry is judged against its own
+    # magnitude, so y is v, unknown, and observing y, or the same sum, pins v
+    @pytest.mark.parametrize("steep", ["1e300", "1e308"])
+    def test_residue_in_one_column_hides_no_other_column(self, steep):
+        head = "x ~ uniform(); v ~ uniform(); a = x; b = x; c = x; "
+        y = f"{steep}*x + {steep}*a - {steep}*b - {steep}*c + v"
+        assert interpret(parse(head + f"y = {y}; return y")).posterior.equals(
+            ExtendedGaussian(Subspace.full(1), np.zeros(1), np.zeros((1, 1))))
+        for body in (f"y = {y}; observe y == 3; ", f"observe {y} == 3; "):
+            assert interpret(parse(head + body + "return v")).posterior.equals(E.dirac([3.0]))
+
+    def test_an_overflowed_magnitude_leaves_other_rows_alone(self):
+        # y's magnitude overflows in v's column; the residue drops it, so
+        # x1's row of 2^-37 keeps its own scale and x1 == 1 pins t
+        report = interpret(parse(
+            "x1 ~ uniform(); t = 1e11*x1; v ~ uniform(); a = v; b = v; c = v; "
+            "y = 1e308*v + 1e308*a - 1e308*b - 1e308*c; observe x1 == 1; return t"))
+        assert report.posterior.nondet.dim == 0
+        np.testing.assert_allclose(report.posterior.mean, [1e11], rtol=1e-15)
+
+    def test_a_residue_row_hides_no_small_returned_row(self):
+        # a's row is 0 beside y's 0.73 of magnitude, x's row is 2^-37: each
+        # row is judged against its own magnitude, so x stays unknown
+        report = interpret(parse("x ~ uniform(); y = 1e11*x; a = y - 1e11*x; return a, x"))
+        assert report.posterior.equals(
+            ExtendedGaussian(Subspace.span([[0.0, 1.0]]), np.zeros(2), np.zeros((2, 2))))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_deterministic_conflicts())
