@@ -11,10 +11,10 @@ may optionally separate statements)::
 
 Expressions are affine combinations by construction.  ``observe e1 == e2``
 conditions the model on the exact linear event e1 - e2 = 0.  The
-interpreter lowers the program into arrays, the mean and covariance of a
-Gaussian part and a generator of the nondeterminism, then conditions the
-joint of the observed and the returned rows on all observations at once;
-for jointly feasible ones the order does not matter.
+interpreter lowers each definition into a row of a mean, of a factor of
+the Gaussian part and of a generator of the nondeterminism, then
+conditions the joint of the observed and the returned rows on all
+observations at once; for jointly feasible ones the order does not matter.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .extended import (
-    _DEC,
-    ExtendedGaussian,
-    InfeasibleObservation,
-    NonFiniteInput,
-    _condition_rows,
-)
-from .gauss import psd_normalize
+from .extended import ExtendedGaussian, InfeasibleObservation, NonFiniteInput, _condition_rows
 from .subspace import DEFAULT_TOL, Tolerance, _check_finite
 
 RESERVED = frozenset({"return", "observe", "normal", "uniform"})
@@ -424,27 +417,25 @@ def _located(node):
 
 class _Lowered:
     """A program's definitions as arrays over its N coordinates, written in
-    order: the Gaussian part's ``mean`` and ``cov``, the generator ``g`` of
-    the nondeterminism (N by U, the first ``u`` columns in use), ``mag``,
-    the magnitude each entry of ``g`` has before cancellation (the sum of
-    its terms' magnitudes, 0 for residue), and ``point``, whether a
-    coordinate's Gaussian part is the point mass at 0, as a ``uniform()``'s is."""
+    order: the ``mean``, the Gaussian part's factor ``f`` (N by V, covariance
+    ``f fᵀ``) and the nondeterminism's generator ``g`` (N by U), the first
+    ``v`` and ``u`` columns in use, and ``mag``, the magnitude of each entry
+    of ``g`` before cancellation (its terms' magnitudes summed, 0 for residue)."""
 
-    __slots__ = ("mean", "cov", "g", "mag", "u", "point")
+    __slots__ = ("mean", "f", "g", "mag", "v", "u")
 
-    def __init__(self, size: int, uniforms: int):
-        self.mean, self.cov = np.zeros(size), np.zeros((size, size))
+    def __init__(self, size: int, normals: int, uniforms: int):
+        self.mean, self.f = np.zeros(size), np.zeros((size, normals))
         self.g, self.mag = np.zeros((size, uniforms)), np.zeros((size, uniforms))
-        self.u, self.point = 0, np.zeros(size, dtype=bool)
+        self.v = self.u = 0
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
-    residual row, value)``, or write a definition's coordinate and its row
-    of ``g``.  A mean that reads live coordinates (not point masses at 0)
-    borders the covariance with the row ``live·cov`` and its corner, and the
-    leading block is checked once, with the checking constructor's checks
-    and messages; any other definition only writes its mean and variance.
+    residual row, value)``, or write a definition's coordinate.  Its mean and
+    its rows of ``f`` and ``g`` are the same combination of the rows it
+    reads, and a positive variance v adds a column of ``f``.  The mean and
+    the variance ``‖f[n]‖² + v`` are checked under the names ``mean`` and ``cov``.
     Every overflow is checked, so numpy's warnings may be off."""
     n = len(index)
     with _located(stmt):
@@ -454,8 +445,8 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             pending.append((stmt, *_finite_affine(lc - rc, r0 - l0, index, "observed residual")))
             return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
-        if isinstance(dist, UniformDist):  # a point mass at 0 and a unit column of g
-            s.g[n, s.u], s.mag[n, s.u], s.u, s.point[n] = 1.0, 1.0, s.u + 1, True
+        if isinstance(dist, UniformDist):  # mean and f stay 0: a unit column of g
+            s.g[n, s.u], s.mag[n, s.u], s.u = 1.0, 1.0, s.u + 1
             index[stmt.name] = n
             return
         coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
@@ -472,25 +463,22 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             e = np.frexp(np.abs(g).max(axis=0))[1]
             np.ldexp(g, -e, out=g)
             np.ldexp(mag, -e, out=mag)
-        live = np.where(s.point[:n], 0.0, coeffs)
-        if live.any():
-            row = live @ s.cov[:n, :n]
-            s.mean[n], s.cov[n, n] = live @ s.mean[:n] + const, row @ live + variance
-            s.cov[n, :n] = s.cov[:n, n] = row
-            _check_finite(mean=s.mean[n], cov=s.cov[n, : n + 1])
-            s.cov[: n + 1, : n + 1] = psd_normalize(s.cov[: n + 1, : n + 1], tol)
-        else:
-            s.mean[n], s.cov[n, n], s.point[n] = const, variance, not (const or variance)
+        f = s.f[: n + 1, : s.v]
+        s.mean[n], f[n] = coeffs @ s.mean[:n] + const, coeffs @ f[:n]
+        _check_finite(mean=s.mean[n], cov=f[n] @ f[n] + variance)
+        if variance:
+            s.f[n, s.v], s.v = math.sqrt(variance), s.v + 1
     index[stmt.name] = n
 
 
 def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> ExtendedGaussian:
     """Coordinates ``rows`` of the first ``n`` of ``s`` given the pending
     ``(statement, row, value)``, by one :func:`_condition_rows` on the pushed
-    observed and returned rows.  On failure, bisect for the shortest failing
-    prefix of the observed rows (prefix feasibility is monotone) and raise at
-    its last statement, or at ``at`` if there is none; an overflow there is
-    retried after the rows before it, as in program order."""
+    observed and returned rows, of covariance ``f_y f_yᵀ``.  On failure,
+    bisect for the shortest failing prefix of the observed rows (prefix
+    feasibility is monotone) and raise at its last statement, or at ``at``
+    if there is none; an overflow there is retried after the rows before
+    it, as in program order."""
     k = len(pending)
     p = np.zeros((k + len(rows), n))
     for i, (_, row, _) in enumerate(pending):
@@ -498,15 +486,15 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
     p[np.arange(k, len(p)), rows] = 1.0
     value = np.array([v for _, _, v in pending])
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        (mean, cov), g_y = _DEC.push(p, (s.mean[:n], s.cov[:n, :n])), p @ s.g[:n, : s.u]
-        mag = np.abs(p) @ s.mag[:n, : s.u]
+        mean, f_y, g_y = p @ s.mean[:n], p @ s.f[:n, : s.v], p @ s.g[:n, : s.u]
+        cov, mag = f_y @ f_y.T, np.abs(p) @ s.mag[:n, : s.u]
         _drop_residue(g_y, mag, tol)
-    scale = float(s.cov[:n, :n].diagonal().max(initial=0.0))  # the program's covariance scale
+        scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
 
     def prefix(j):  # the first j observed rows and the returned rows
         keep = np.r_[:j, k : len(p)]
         return _condition_rows(mean[keep], cov[np.ix_(keep, keep)], g_y[keep], j,
-                               value[:j], mag[:j].max(axis=1, initial=0.0), tol, scale)
+                               value[:j], mag[keep].max(axis=1, initial=0.0), tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
@@ -528,14 +516,17 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
 
 def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> _Lowered:
     """For the overflow retries: fresh arrays of ``s``'s size whose first
-    ``n`` coordinates, all live, hold ``s`` conditioned on ``pending``.  The
-    new generator is the posterior's orthonormal basis; each of its rows
-    takes the largest magnitude of the coordinate's old row, so that the
-    residue of the conditioning is dropped and a small row is kept."""
+    ``n`` coordinates hold ``s`` conditioned on ``pending``: ``f`` from one
+    ``eigh`` of the posterior covariance, of rank at most ``s.v``, and ``g``
+    the posterior's orthonormal basis, each row with the largest magnitude
+    of the coordinate's old row, so that the residue of the conditioning is
+    dropped and a small row is kept."""
     post = _condition(s, n, pending, range(n), tol, at)
-    t, b = _Lowered(*s.g.shape), post.nondet.basis
-    t.u = b.shape[1]
-    t.mean[:n], t.cov[:n, :n], t.g[:n, : t.u] = post.mean, post.cov, b
+    t, b = _Lowered(*s.f.shape, s.g.shape[1]), post.nondet.basis
+    w, vec = np.linalg.eigh(post.cov)
+    t.v, t.u = s.v, b.shape[1]
+    t.mean[:n], t.f[:n, : t.v] = post.mean, vec[:, n - t.v :] * np.sqrt(w[n - t.v :].clip(0.0))
+    t.g[:n, : t.u] = b
     t.mag[:n, : t.u] = s.mag[:n, : s.u].max(axis=1, initial=0.0)[:, None]
     _drop_residue(t.g[:n, : t.u], t.mag[:n, : t.u], tol)
     return t
@@ -553,12 +544,13 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     """Run a program and return the posterior over its returned variables.
 
     The program is lowered into arrays, one coordinate per definition (an
-    assignment is a sample of variance 0): a Gaussian part and a generator
-    ``g`` of the nondeterminism, a column per ``uniform()``; a definition
-    whose mean reads live variables (not point masses at 0) borders the
-    covariance and runs one PSD check.  Last, one :func:`_condition_rows`
-    conditions the joint of the observed and the returned rows on every
-    observation at once (marginalizing commutes with conditioning).  A
+    assignment is a sample of variance 0): a mean, a factor ``f`` of the
+    Gaussian part, a column per ``normal`` of positive variance, and a
+    generator ``g`` of the nondeterminism, a column per ``uniform()``; a
+    definition writes one row of each and makes no factorization.  Last,
+    one :func:`_condition_rows` conditions the joint of the observed and
+    the returned rows on every observation at once (marginalizing commutes
+    with conditioning).  A
     statement that overflows conditions on the pending observations first
     and is run once more.  An infeasible observation raises
     :class:`InfeasibleObservation`; a coefficient, constant or value that
@@ -568,10 +560,11 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     """
     typecheck(program)
     defs = [stmt for stmt in program.statements if not isinstance(stmt, Observe)]
-    shape = len(defs), sum(isinstance(d, Sample) and isinstance(d.dist, UniformDist) for d in defs)
+    dists = [d.dist for d in defs if isinstance(d, Sample)]
+    s = _Lowered(len(defs), sum(isinstance(d, NormalDist) and d.variance > 0 for d in dists),
+                 sum(isinstance(d, UniformDist) for d in dists))
     index: dict = {}  # name -> coordinate
     pending: list = []
-    s = _Lowered(*shape)
     stmts, at, i = program.statements, program.returns[0], 0
     while True:
         try:

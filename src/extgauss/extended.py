@@ -266,8 +266,8 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     pushing the arrays and the basis ``B`` of the nondeterminism along
     ``a = [obs; I]``, unnormalized and unchecked, and :func:`_condition_rows`
     conditions that joint on them at the observed value.  ``B`` enters with
-    unit magnitude on each coordinate it spans, so an observed row's
-    magnitude is ``|obs|`` summed over those coordinates.  Raises
+    unit magnitude on each coordinate it spans, so a row's magnitude is
+    ``|a|`` summed over those coordinates.  Raises
     :class:`InfeasibleObservation` when the value lies outside the support
     of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
     """
@@ -282,7 +282,7 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     a, b = np.vstack([obs, np.eye(n)]), psi.nondet.basis
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         mean, cov = _DEC.push(a, psi.noise)
-        g, mag = a @ b, np.abs(obs) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
+        g, mag = a @ b, np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
     return _condition_rows(mean, cov, g, k, value, mag, tol, 0.0)
 
 
@@ -290,28 +290,27 @@ def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
                     scale: float) -> ExtendedGaussian:
     """Observe the first k coordinates of ``N(mean, cov) + span(g)`` at
     ``value`` and keep the other r, on a joint in generator form, ``cov``
-    not normalized; ``mag`` is each observed row's magnitude before
-    cancellation.  The observed rows ``g_o`` are scaled by ``D^-1``, powers
-    of two that bring their ``mag`` into [0.5, 1); one SVD cut at
-    ``rank_rel_tol`` then tells rank from residue at any row scale.  It
-    gives ``h = g_r V_q S_q^-1 U_q^T D^-1``, ``U = col(D^-1 U_perp)`` and,
-    cut apart so a steep row cannot hide the others, ``H = col(g_r V_perp)``
-    at ``||g_r||_2``.  Unless the residual's part in ``U`` lies in the
-    observed covariance's column space, cut at ``max(||cov||_2, scale)``,
-    raise :class:`InfeasibleObservation`; else condition ``N(mean, cov)``
-    along that graph decomposition and evaluate at ``value``."""
+    not normalized; ``mag`` is each row's magnitude before cancellation.
+    Every row of ``g`` is scaled by ``D^-1``, powers of two that bring its
+    ``mag`` into [0.5, 1), so that rank is told from residue at any row
+    scale.  One SVD of the observed rows, cut at ``rank_rel_tol``, gives
+    ``h = D_r g_r V_q S_q^-1 U_q^T D_o^-1`` (``g`` scaled), ``U =
+    col(D_o^-1 U_perp)`` and, cut apart so a steep row cannot hide the
+    others, ``H = col(D_r col(g_r V_perp))`` at ``||g_r||_2``.  Unless the
+    residual's part in ``U`` lies in the observed covariance's column space,
+    cut at ``max(||cov||_2, scale)``, raise :class:`InfeasibleObservation`;
+    else condition ``N(mean, cov)`` along that graph decomposition and
+    evaluate at ``value``."""
     _check_finite(mean=mean, cov=cov, nondet=g)
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
-    g_o, g_r = np.ldexp(g[:k], -e[:, None]), g[k:]
+    (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
     # an empty block gets what numpy's SVD returns for it, without the call
     u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
     q = int(np.sum(s > tol.rank_rel_tol))
-    h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, -e)
+    h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
     eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0)
-    perp = u[:, q:]
-    if 0 < q < k and np.ptp(e):  # D^-1 U_perp is not orthonormal
-        perp = _svd(np.ldexp(perp, -e[:, None]), full_matrices=False)[0]
-    perp, supp, resid = _fix_signs(perp), np.zeros((0, 0)), np.zeros(0)
+    eta, perp = _scaled_basis(eta.basis, e_r), _scaled_basis(u[:, q:], -e_o)
+    supp, resid = np.zeros((0, 0)), np.zeros(0)
     if k:
         anchor = max(float(np.linalg.norm(cov, 2)), scale)
         if not np.isfinite(anchor):  # finite entries such as 1e308 can overflow it
@@ -323,11 +322,19 @@ def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
         raise InfeasibleObservation(
             "observed value lies outside the support of the observed quantity"
         )
-    split = (h, eta, None, Subspace._of(k, perp))  # _conditional reads no D_X
+    split = (h, Subspace._of(len(e_r), eta), None, Subspace._of(k, perp))  # no D_X is read
     nondet, lin, (mean, cov) = _conditional(np.zeros((len(mean), 0)), (mean, cov), split, tol)
     mean = mean + lin @ value
     _check_finite(mean=mean, cov=cov)
     return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((len(mean), 0)), (mean, cov))
+
+
+def _scaled_basis(basis, e):
+    """A sign-canonical orthonormal basis of ``col(2^e basis)`` for an
+    orthonormal ``basis``, by one thin SVD with no rank cut if it is not one."""
+    if 0 < basis.shape[1] < basis.shape[0] and np.ptp(e):
+        basis = _svd(np.ldexp(basis, e[:, None]), full_matrices=False)[0]
+    return _fix_signs(basis)
 
 
 def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:

@@ -25,11 +25,11 @@ from extgauss.dsl import (
     typecheck,
 )
 from extgauss.extended import ExtendedGaussian, InfeasibleObservation, NonFiniteInput
-from extgauss.gauss import psd_normalize
 from extgauss.subspace import Subspace, Tolerance
 
 from _gen import LOOSE_RANK, gauss_observe_oracle, span_above
 from test_extended import _max_gap, _reference_interpret
+from test_linalg_budget import _count_factorizations
 
 EXAMPLE_2_1 = (
     "x1 ~ normal(0,1); x2 ~ normal(0,1); y ~ uniform(); "
@@ -287,10 +287,10 @@ class TestInterpret:
 
 
 class TestArrayLowering:
-    """A definition that reads only point masses at 0 (``uniform()``
-    variables, and definitions of them with no constant or variance) writes
-    its mean and variance with no PSD check; the sequential reference
-    shears every definition in."""
+    """Each definition writes its mean and its rows of the Gaussian factor
+    and of the generator as one combination of the rows it reads, with no
+    covariance and no factorization; the sequential reference shears every
+    definition in."""
 
     @pytest.mark.parametrize("source", [
         "z = 0; y ~ normal(2*z + 1, 3); return y",
@@ -315,17 +315,17 @@ class TestArrayLowering:
         assert report.posterior.equals(E.gaussian([1.0, 2.0], [[0.0, 0.0], [0.0, 1.0]]))
         assert _max_gap(report.posterior, _reference_interpret(program).posterior) <= 1e-12
 
-    @pytest.mark.parametrize("source, checks", [
-        ("x ~ uniform(); a = x; z = 0; y ~ normal(3*a + 2*z + 1, 2); return y", 0),
-        ("x ~ uniform(); u ~ normal(x, 1); y ~ normal(u + x, 2); return y", 1),
+    @pytest.mark.parametrize("source", [
+        "x ~ uniform(); a = x; z = 0; y ~ normal(3*a + 2*z + 1, 2); return y",
+        "x ~ uniform(); u ~ normal(x, 1); y ~ normal(u + x, 2); observe y == 1; return u",
     ])
-    def test_one_psd_check_per_definition_that_reads_a_live_variable(
-            self, monkeypatch, source, checks):
-        calls = []
-        monkeypatch.setattr(dsl, "psd_normalize",
-                            lambda cov, tol: calls.append(cov.shape) or psd_normalize(cov, tol))
+    def test_lowering_makes_no_factorization(self, monkeypatch, source):
+        counts, before = _count_factorizations(monkeypatch), []
+        condition = dsl._condition
+        monkeypatch.setattr(dsl, "_condition",
+                            lambda *args: before.append(sum(counts.values())) or condition(*args))
         interpret(parse(source))
-        assert len(calls) == checks
+        assert before == [0], counts
 
     def test_no_extended_gaussian_is_built_per_statement(self):
         for name in ("tensor", "pushforward", "_normal"):
@@ -523,6 +523,8 @@ OVERFLOW_AND_INFEASIBLE = [
      "observe a == 3\nreturn x", (InfeasibleObservation, "5:1: ")),
     ("x ~ normal(0, 1e300); y = 1e300*x; return y",
      (NonFiniteInput, "1:23: cov has a NaN or infinite entry")),
+    ("x ~ normal(0, 1); y = 1e200*x; return x",
+     (NonFiniteInput, "1:19: cov has a NaN or infinite entry")),
     ("x ~ normal(0, 1e300); observe x == 0; observe 1e10*x == 0; return x", None),
     ("x ~ normal(0, 1e300); observe x == 0; observe 1e10*x == 0; y = 1e300*x; return y", None),
     ("x ~ normal(0, 1e300); z = 0; observe z == 1; y = 1e300*x; return y",
@@ -753,6 +755,14 @@ class TestDeferredObservations:
             "y = 1e308*v + 1e308*a - 1e308*b - 1e308*c; observe x1 == 1; return t"))
         assert report.posterior.nondet.dim == 0
         np.testing.assert_allclose(report.posterior.mean, [1e11], rtol=1e-15)
+
+    # After w, the generator's column rescaling leaves x1's row at 2^-37
+    # beside x2's 1.  Each returned row is scaled by its magnitude before the
+    # rank cut, so the steep row hides neither: both stay unknown.
+    @pytest.mark.parametrize("tail", ["return x1, x2", "y = x1 + 1e-11*w; return y, x2"])
+    def test_a_steep_returned_row_hides_no_other(self, tail):
+        report = interpret(parse(f"x1 ~ uniform(); w = 1e11*x1; x2 ~ uniform(); {tail}"))
+        assert report.posterior.equals(E.uniform(2))
 
     def test_a_residue_row_hides_no_small_returned_row(self):
         # a's row is 0 beside y's 0.73 of magnitude, x's row is 2^-37: each

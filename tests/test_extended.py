@@ -805,16 +805,16 @@ class TestConditionRows:
     def test_matches_the_conditional_at_the_value(self, seed):
         rng = np.random.default_rng(seed)
         k, r, u = (int(rng.integers(lo, 5)) for lo in (1, 1, 0))
-        # rank-deficient observed and returned blocks of the generator, the
-        # observed rows scaled apart (which takes the orthonormalization of
-        # U), and a covariance of any rank
+        # rank-deficient observed and returned blocks of the generator, every
+        # row scaled apart (which takes the orthonormalization of U and of
+        # H), and a covariance of any rank
         g = np.vstack([_low_rank(rng, k, u, int(rng.integers(0, min(k, u) + 1))),
                        _low_rank(rng, r, u, int(rng.integers(0, min(r, u) + 1)))])
-        g[:k] = np.ldexp(g[:k], -rng.integers(0, 8, (k, 1)))  # observed rows of different scales
+        g = np.ldexp(g, -rng.integers(0, 8, (k + r, 1)))  # rows of different scales
         f = rng.standard_normal((k + r, int(rng.integers(0, k + r + 1))))
         mean, cov = rng.standard_normal(k + r), f @ f.T
         value = mean[:k] + g[:k] @ rng.standard_normal(u) + f[:k] @ rng.standard_normal(f.shape[1])
-        mag = np.abs(g[:k]).max(axis=1, initial=0.0)  # no row is cancellation residue
+        mag = np.abs(g).max(axis=1, initial=0.0)  # no row is cancellation residue
         got = E._condition_rows(mean, cov, g, k, value, mag, DEFAULT_TOL, 0.0)
         psi = ExtendedGaussian(Subspace.span(list(g.T), ambient_dim=k + r), mean, cov)
         supp = E.support(E.marginal(psi, range(k)))

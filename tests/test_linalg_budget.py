@@ -6,6 +6,7 @@ that brings back per-call factorizations (for example an SVD on every
 """
 
 import numpy as np
+import pytest
 
 from extgauss.dsl import interpret, parse
 from extgauss.extended import ExtendedGaussian, observe
@@ -13,9 +14,11 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when the interpreter began to condition only
-# the observed and returned rows, with one SVD of the observed generator
-# rows (33 before; 34 before it lowered the program into arrays, with no
+# Measured for this program when the interpreter began to lower each
+# definition's Gaussian part as a row of a factor, with no covariance and
+# no PSD check per definition (29 before; 33 before it began to condition
+# only the observed and returned rows, with one SVD of the observed
+# generator rows; 34 before it lowered the program into arrays, with no
 # PSD check for a definition that reads only point masses; 104 before it
 # carried the nondeterminism as a generator matrix and orthonormalized it
 # once per program; 121 before psd_normalize began to decide and clamp
@@ -31,7 +34,7 @@ STEPS = 12
 # before extended Gaussian maps became decorated relations, and 1,080
 # before the complement of a subspace became a write-once cache).  Lower
 # it when a change saves more.
-MAX_FACTORIZATIONS = 29
+MAX_FACTORIZATIONS = 6
 
 # Measured for the regression program below with the same change (14
 # before, 18 before the array lowering, 28 before the generator matrix,
@@ -46,6 +49,11 @@ MAX_FLATREG_FACTORIZATIONS = 7
 # conditional; 10 before, when the graph decomposition came from one SVD;
 # 22 before that, 32 before the PSD change).
 MAX_OBSERVE_FACTORIZATIONS = 7
+
+# Measured for the dense mixing program below, at 30 and at 90 variables,
+# with the factor lowering (33 and 93 before, with one eigh per definition
+# that read a live variable).
+MAX_MIXING_FACTORIZATIONS = 4
 
 # Every numpy.linalg factorization, so that moving work from one onto
 # another cannot fake a drop.
@@ -82,6 +90,24 @@ def _flatreg_program(p: int = 6, rows: int = 4) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mixing_program(n: int) -> str:
+    """Dense affine mixing: each variable reads up to eight earlier ones with
+    weights summing below 1, every seventh is an assignment, and two
+    observations read every variable."""
+    lines = []
+    for i in range(1, n + 1):
+        terms = "".join(f"{0.04 * ((i + j) % 3 + 1):.2f}*v{j} + " for j in range(max(1, i - 8), i))
+        if terms and i % 7 == 0:
+            lines.append(f"v{i} = {terms}1")
+        else:
+            lines.append(f"v{i} ~ normal({terms}{0.1 * (i % 5):.1f}, {0.2 + 0.1 * (i % 4):.1f})")
+    for k in (1, 2):
+        row = " + ".join(f"{0.1 * ((k * j) % 7) + 0.1:.1f}*v{j}" for j in range(1, n + 1))
+        lines.append(f"observe {row} == {k}")
+    lines.append("return " + ", ".join(f"v{j}" for j in range(n - 4, n + 1)))
+    return "\n".join(lines) + "\n"
+
+
 def _count_factorizations(monkeypatch) -> dict:
     counts = {}
 
@@ -113,17 +139,28 @@ def test_chain_program_factorization_budget(monkeypatch):
 
 
 def test_chain_program_rank_decisions_do_not_grow_with_length(monkeypatch):
-    # the nondeterminism is orthonormalized once per program, not re-decided
-    # after every statement: SVDs and spectral norms do not grow with the
-    # chain (52 + 25 at 12 steps when each shear ran image and annihilator)
+    # the nondeterminism is orthonormalized once per program and the
+    # Gaussian part is lowered with no PSD check: no factorization grows
+    # with the chain (52 SVDs + 25 norms at 12 steps when each shear ran
+    # image and annihilator; one eigh per definition before the factor)
     decisions = []
     for steps in (6, 24):
         program = parse(_chain_program(steps))
         with monkeypatch.context() as m:
             counts = _count_factorizations(m)
             interpret(program)
-        decisions.append((counts.get("svd", 0), counts.get("norm", 0)))
+        decisions.append(counts)
     assert decisions[0] == decisions[1], decisions
+
+
+@pytest.mark.parametrize("n", [30, 90])
+def test_mixing_program_factorization_budget(monkeypatch, n):
+    program = parse(_mixing_program(n))
+    counts = _count_factorizations(monkeypatch)
+    report = interpret(program)
+    assert report.posterior.dim == 5
+    total = sum(counts.values())
+    assert total <= MAX_MIXING_FACTORIZATIONS, counts
 
 
 def test_rank1_observe_factorization_budget(monkeypatch):
