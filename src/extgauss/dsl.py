@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -381,9 +380,10 @@ class PosteriorReport:
         }
 
 
-def _lower_expr(expr: Expr, index: dict, what: str) -> tuple[np.ndarray, float]:
-    """Affine expression over the live variables: (coefficients, constant)."""
-    acc: dict = {}  # Python floats overflow to inf and nan without a warning
+def _affine(expr: Expr, index: dict, what: str) -> tuple[dict, float]:
+    """Affine expression over the live variables, ``({coordinate: coefficient},
+    constant)``, in Python floats (they overflow without a warning), checked."""
+    acc: dict = {}
     const = 0.0
     for term in expr.terms:
         if term.var is None:
@@ -391,110 +391,117 @@ def _lower_expr(expr: Expr, index: dict, what: str) -> tuple[np.ndarray, float]:
         else:
             j = index[term.var]
             acc[j] = acc.get(j, 0.0) + term.coeff
-    coeffs = np.zeros(len(index))
-    coeffs[list(acc)] = list(acc.values())
-    return _finite_affine(coeffs, const, index, what)
+    return _finite(acc, const, index, what)
 
 
-def _finite_affine(coeffs, const, index: dict, what: str) -> tuple[np.ndarray, float]:
-    """``(coeffs, const)``, or :class:`NonFiniteInput` naming what overflowed."""
-    if not np.isfinite(coeffs).all():
-        bad = np.flatnonzero(~np.isfinite(coeffs))
-        raise NonFiniteInput(f"{what} has a non-finite coefficient of {list(index)[bad[0]]!r}")
+def _finite(acc: dict, const: float, index: dict, what: str) -> tuple[dict, float]:
+    """``(acc, const)``, or :class:`NonFiniteInput` naming what overflowed."""
+    if not all(map(math.isfinite, acc.values())):
+        bad = min(j for j, c in acc.items() if not math.isfinite(c))
+        raise NonFiniteInput(f"{what} has a non-finite coefficient of {list(index)[bad]!r}")
     if not math.isfinite(const):
         raise NonFiniteInput(f"{what} has a non-finite constant")
-    return coeffs, const
+    return acc, const
 
 
-@contextmanager
-def _located(node):
-    """Prefix an inference error raised inside with ``node``'s ``line:col``."""
-    try:
-        yield
-    except (InfeasibleObservation, NonFiniteInput) as exc:
-        raise type(exc)(f"{node.line}:{node.col}: {exc}") from exc
+def _at(node, exc):
+    """The inference error ``exc`` prefixed with ``node``'s ``line:col``."""
+    return type(exc)(f"{node.line}:{node.col}: {exc}")
 
 
 class _Lowered:
-    """A program's definitions as arrays over its N coordinates, written in
-    order: the ``mean``, the Gaussian part's factor ``f`` (N by V, covariance
-    ``f fᵀ``) and the nondeterminism's generator ``g`` (N by U), the first
-    ``v`` and ``u`` columns in use, and ``mag``, the magnitude of each entry
-    of ``g`` before cancellation (its terms' magnitudes summed, 0 for residue)."""
+    """A program's definitions as rows over its N coordinates, written in
+    order: ``w = [mean | f | g]``, viewed as the ``mean``, the Gaussian
+    part's factor ``f`` (N by V, covariance ``f fᵀ``) and the generator
+    ``g`` of the nondeterminism (N by U), the first ``v`` and ``u`` columns in
+    use; ``mag``, each entry of ``g``'s magnitude before cancellation (its
+    terms' magnitudes summed, 0 for residue); ``top``, each column's max |g|."""
 
-    __slots__ = ("mean", "f", "g", "mag", "v", "u")
+    __slots__ = ("w", "mean", "f", "g", "mag", "top", "v", "u")
 
     def __init__(self, size: int, normals: int, uniforms: int):
-        self.mean, self.f = np.zeros(size), np.zeros((size, normals))
-        self.g, self.mag = np.zeros((size, uniforms)), np.zeros((size, uniforms))
+        w = self.w = np.zeros((size, 1 + normals + uniforms))
+        self.mean, self.f, self.g = w[:, 0], w[:, 1 : 1 + normals], w[:, 1 + normals :]
+        self.mag, self.top = np.zeros((size, uniforms)), np.zeros(uniforms)
         self.v = self.u = 0
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
-    residual row, value)``, or write a definition's coordinate.  Its mean and
-    its rows of ``f`` and ``g`` are the same combination of the rows it
-    reads, and a positive variance v adds a column of ``f``.  The mean and
-    the variance ``‖f[n]‖² + v`` are checked under the names ``mean`` and ``cov``.
-    Every overflow is checked, so numpy's warnings may be off."""
+    {coordinate: residual coefficient}, value)``, or write a definition's row
+    of ``w``, ``c @ w[idx]`` over the rows ``idx`` it reads, and of ``mag``,
+    ``|c| @ mag[idx]``; a positive variance v adds a column of ``f``.  A
+    column of ``g`` and ``mag`` is rescaled by a power of two, exactly, when
+    the row moves its ``top`` out of [0.5, 1).  The row of ``g``, the mean
+    and the variance ``‖f[n]‖² + v`` (as ``cov``) are checked, so numpy's
+    overflow warnings may be off."""
     n = len(index)
-    with _located(stmt):
+    try:
         if isinstance(stmt, Observe):
-            lc, l0 = _lower_expr(stmt.lhs, index, "left-hand side")
-            rc, r0 = _lower_expr(stmt.rhs, index, "right-hand side")
-            pending.append((stmt, *_finite_affine(lc - rc, r0 - l0, index, "observed residual")))
+            lhs, l0 = _affine(stmt.lhs, index, "left-hand side")
+            rhs, r0 = _affine(stmt.rhs, index, "right-hand side")
+            lhs.update({j: lhs.get(j, 0.0) - c for j, c in rhs.items()})
+            pending.append((stmt, *_finite(lhs, r0 - l0, index, "observed residual")))
             return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
         if isinstance(dist, UniformDist):  # mean and f stay 0: a unit column of g
-            s.g[n, s.u], s.mag[n, s.u], s.u = 1.0, 1.0, s.u + 1
-            index[stmt.name] = n
+            s.g[n, s.u] = s.mag[n, s.u] = s.top[s.u] = 1.0
+            index[stmt.name], s.u = n, s.u + 1
             return
-        coeffs, const = _lower_expr(dist.mean, index, f"expression for {stmt.name!r}")
+        acc, const = _affine(dist.mean, index, f"expression for {stmt.name!r}")
         variance = dist.variance + 0.0  # -0.0 to 0.0, as the checking constructor
         if not math.isfinite(variance):  # a parsed one is; a hand-built one may not be
             raise NonFiniteInput(f"variance {dist.variance!r} is not finite")
-        if s.u:
-            g, mag = s.g[: n + 1, : s.u], s.mag[: n + 1, : s.u]
-            g[n], mag[n] = coeffs @ g[:n], np.abs(coeffs) @ mag[:n]
-            if not np.isfinite(g[n]).all():
-                raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
-            _drop_residue(g[n], mag[n], tol)
-            # each column's largest entry into [0.5, 1): exact, and the same span
-            e = np.frexp(np.abs(g).max(axis=0))[1]
-            np.ldexp(g, -e, out=g)
-            np.ldexp(mag, -e, out=mag)
-        f = s.f[: n + 1, : s.v]
-        s.mean[n], f[n] = coeffs @ s.mean[:n] + const, coeffs @ f[:n]
-        _check_finite(mean=s.mean[n], cov=f[n] @ f[n] + variance)
+        row, u = s.w[n], s.u
+        if acc:  # take and dot: a third of the cost of fancy indexing and @
+            idx, c = list(acc), np.array(list(acc.values()))
+            row[:] = c.dot(s.w.take(idx, axis=0))
+        if u:
+            g, mag, top = s.g[: n + 1, :u], s.mag[: n + 1, :u], s.top[:u]
+            if acc:
+                s.mag[n] = np.abs(c).dot(s.mag.take(idx, axis=0))
+                if np.count_nonzero(np.isfinite(g[n])) < u:
+                    raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
+                _drop_residue(g[n], mag[n], tol)
+                np.maximum(top, np.abs(g[n]), out=top)
+            e = np.frexp(top)[1]
+            if np.count_nonzero(e):  # the exponents frexp gives of the column maxima
+                for a in (g, mag, top):
+                    np.ldexp(a, -e, out=a)
+        row[0] += const
+        f = s.f[n, : s.v]
+        _check_finite(mean=row[0], cov=f.dot(f) + variance)
         if variance:
             s.f[n, s.v], s.v = math.sqrt(variance), s.v + 1
+    except (InfeasibleObservation, NonFiniteInput) as exc:
+        raise _at(stmt, exc) from exc
     index[stmt.name] = n
 
 
-def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> ExtendedGaussian:
+def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
     """Coordinates ``rows`` of the first ``n`` of ``s`` given the pending
-    ``(statement, row, value)``, by one :func:`_condition_rows` on the pushed
-    observed and returned rows, of covariance ``f_y f_yᵀ``.  On failure,
-    bisect for the shortest failing prefix of the observed rows (prefix
-    feasibility is monotone) and raise at its last statement, or at ``at``
-    if there is none; an overflow there is retried after the rows before
-    it, as in program order."""
-    k = len(pending)
+    ``(statement, row, value)``, and the posterior's factor, by one
+    :func:`_condition_rows` of the rows ``p @ w``.  On failure, bisect for
+    the shortest failing prefix of the observed rows (prefix feasibility is
+    monotone) and raise at its last statement, or at ``at`` if there is
+    none; an overflow there is retried after the rows before it."""
+    k, g0 = len(pending), 1 + s.f.shape[1]  # g's first column in w
     p = np.zeros((k + len(rows), n))
     for i, (_, row, _) in enumerate(pending):
-        p[i, : row.size] = row
+        p[i, list(row)] = list(row.values())
     p[np.arange(k, len(p)), rows] = 1.0
     value = np.array([v for _, _, v in pending])
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        mean, f_y, g_y = p @ s.mean[:n], p @ s.f[:n, : s.v], p @ s.g[:n, : s.u]
-        cov, mag = f_y @ f_y.T, np.abs(p) @ s.mag[:n, : s.u]
+        y = p @ s.w[:n]
+        mean, f_y, g_y = y[:, 0], y[:, 1 : 1 + s.v], y[:, g0 : g0 + s.u]
+        mag = np.abs(p) @ s.mag[:n, : s.u]
         _drop_residue(g_y, mag, tol)
         scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
 
     def prefix(j):  # the first j observed rows and the returned rows
         keep = np.r_[:j, k : len(p)]
-        return _condition_rows(mean[keep], cov[np.ix_(keep, keep)], g_y[keep], j,
-                               value[:j], mag[keep].max(axis=1, initial=0.0), tol, scale)
+        return _condition_rows(mean[keep], f_y[keep], g_y[keep], j, value[:j],
+                               mag[keep].max(axis=1, initial=0.0), tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
@@ -510,25 +517,22 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at) -> 
             bad, err = mid, exc
     if ok and isinstance(err, NonFiniteInput):
         return _condition(_refill(s, n, pending[:ok], tol, at), n, pending[ok:], rows, tol, at)
-    with _located(pending[ok][0] if pending else at):
-        raise err
+    raise _at(pending[ok][0] if pending else at, err) from err
 
 
 def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> _Lowered:
     """For the overflow retries: fresh arrays of ``s``'s size whose first
-    ``n`` coordinates hold ``s`` conditioned on ``pending``: ``f`` from one
-    ``eigh`` of the posterior covariance, of rank at most ``s.v``, and ``g``
-    the posterior's orthonormal basis, each row with the largest magnitude
-    of the coordinate's old row, so that the residue of the conditioning is
-    dropped and a small row is kept."""
-    post = _condition(s, n, pending, range(n), tol, at)
-    t, b = _Lowered(*s.f.shape, s.g.shape[1]), post.nondet.basis
-    w, vec = np.linalg.eigh(post.cov)
+    ``n`` coordinates hold ``s`` conditioned on ``pending``: ``f`` the
+    posterior's factor and ``g`` its orthonormal basis, each row with the
+    largest magnitude of the coordinate's old row, so that the residue of
+    the conditioning is dropped and a small row is kept."""
+    post, fac = _condition(s, n, pending, range(n), tol, at)
+    t, b = _Lowered(len(s.w), s.f.shape[1], s.g.shape[1]), post.nondet.basis
     t.v, t.u = s.v, b.shape[1]
-    t.mean[:n], t.f[:n, : t.v] = post.mean, vec[:, n - t.v :] * np.sqrt(w[n - t.v :].clip(0.0))
-    t.g[:n, : t.u] = b
+    t.mean[:n], t.f[:n, : fac.shape[1]], t.g[:n, : t.u] = post.mean, fac, b
     t.mag[:n, : t.u] = s.mag[:n, : s.u].max(axis=1, initial=0.0)[:, None]
     _drop_residue(t.g[:n, : t.u], t.mag[:n, : t.u], tol)
+    t.top[: t.u] = np.abs(t.g[:n, : t.u]).max(axis=0, initial=0.0)
     return t
 
 
@@ -543,20 +547,17 @@ def _drop_residue(g, mag, tol: Tolerance) -> None:
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
     """Run a program and return the posterior over its returned variables.
 
-    The program is lowered into arrays, one coordinate per definition (an
-    assignment is a sample of variance 0): a mean, a factor ``f`` of the
-    Gaussian part, a column per ``normal`` of positive variance, and a
-    generator ``g`` of the nondeterminism, a column per ``uniform()``; a
-    definition writes one row of each and makes no factorization.  Last,
-    one :func:`_condition_rows` conditions the joint of the observed and
-    the returned rows on every observation at once (marginalizing commutes
-    with conditioning).  A
-    statement that overflows conditions on the pending observations first
-    and is run once more.  An infeasible observation raises
-    :class:`InfeasibleObservation`; a coefficient, constant or value that
-    overflows raises :class:`NonFiniteInput` at the statement that made
-    it, before numpy can warn.  Both are prefixed with the statement's
-    ``line:col`` (with no observation, the first returned variable's).
+    Each definition writes one row of ``[mean | f | g]`` (an assignment is
+    a sample of variance 0): the factor ``f`` of the Gaussian part has a
+    column per ``normal`` of positive variance and the generator ``g`` a
+    column per ``uniform()``; no definition makes a factorization.  Last,
+    one :func:`_condition_rows` conditions the observed and the returned
+    rows on every observation at once, in factor form.  A statement that
+    overflows conditions on the pending observations first and runs again.
+    An infeasible observation raises :class:`InfeasibleObservation`, an
+    overflow :class:`NonFiniteInput` before numpy can warn, each prefixed
+    with its statement's ``line:col`` (with no observation, the first
+    returned variable's).
     """
     typecheck(program)
     defs = [stmt for stmt in program.statements if not isinstance(stmt, Observe)]
@@ -577,7 +578,7 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
                 raise
         s, pending = _refill(s, len(index), pending, tol, at), []  # then statement i again
     rows = [index[r.name] for r in program.returns]
-    posterior = _condition(s, len(index), pending, rows, tol, at)
+    posterior, _ = _condition(s, len(index), pending, rows, tol, at)
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

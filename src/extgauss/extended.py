@@ -21,6 +21,7 @@ is off the support.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -243,33 +244,25 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     the usual formulas, and inputs in ``D_X`` act through ``h``.  Only its
     Schur complement is checked for PSD; the result is built by projection.
     """
-    split = graph_decompose(phi.nondet, nx, tol)  # raises unless 0 <= nx <= cod_dim
-    return ExtendedGaussianMap._from_normal(_DEC, *_conditional(phi.lin, phi.noise, split, tol))
-
-
-def _conditional(lin, noise, split, tol: Tolerance):
-    """``(H, lin, noise)`` of :func:`conditional`; ``noise`` may be unnormalized."""
-    h, h_sub, _, u = split
-    ny, nx = h.shape
+    h, h_sub, _, u = graph_decompose(phi.nondet, nx, tol)  # raises unless 0 <= nx <= cod_dim
     p_u = u.projector()  # not I - P_DX, whose residue fakes X-covariance rank if D_X = X
-    t = np.block([[p_u, np.zeros((nx, ny))], [-h, np.eye(ny)]])
-    g_lin, mean, cov = gauss._conditional(t @ lin, *_DEC.push(t, noise), nx, tol)
-    lin = np.hstack([g_lin[:, :nx] @ p_u + h, g_lin[:, nx:]])
+    t = np.block([[p_u, np.zeros((nx, len(h)))], [-h, np.eye(len(h))]])
+    g_lin, mean, cov = gauss._conditional(t @ phi.lin, *_DEC.push(t, phi.noise), nx, tol)
     p = h_sub.complement_projector()
-    return h_sub, p @ lin, _DEC.push(p, (mean, cov))
+    lin = p @ np.hstack([g_lin[:, :nx] @ p_u + h, g_lin[:, nx:]])
+    return ExtendedGaussianMap._from_normal(_DEC, h_sub, lin, _DEC.push(p, (mean, cov)))
 
 
 def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Condition on the exact linear event ``obs @ x = value``.
 
-    The residual ``obs @ x`` is adjoined as k auxiliary coordinates by
-    pushing the arrays and the basis ``B`` of the nondeterminism along
-    ``a = [obs; I]``, unnormalized and unchecked, and :func:`_condition_rows`
-    conditions that joint on them at the observed value.  ``B`` enters with
-    unit magnitude on each coordinate it spans, so a row's magnitude is
-    ``|a|`` summed over those coordinates.  Raises
-    :class:`InfeasibleObservation` when the value lies outside the support
-    of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf input.
+    The mean, a factor of the covariance (one ``eigh``) and the basis ``B``
+    of the nondeterminism are pushed along ``a = [obs; I]``, unchecked, and
+    :func:`_condition_rows` conditions that joint on its first k rows, the
+    residual ``obs @ x``, at the value.  ``B`` enters with unit magnitude
+    on each coordinate it spans, so a row's magnitude is ``|a|`` summed
+    over them.  Raises :class:`InfeasibleObservation` when the value lies
+    outside the support of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     value = np.asarray(value, dtype=float).reshape(-1)
@@ -280,53 +273,59 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
     a, b = np.vstack([obs, np.eye(n)]), psi.nondet.basis
+    w, vec = np.linalg.eigh(psi.cov)
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        mean, cov = _DEC.push(a, psi.noise)
+        mean, f = a @ psi.mean, a @ (vec * np.sqrt(w.clip(0.0)))
         g, mag = a @ b, np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
-    return _condition_rows(mean, cov, g, k, value, mag, tol, 0.0)
+    return _condition_rows(mean, f, g, k, value, mag, tol, 0.0)[0]
 
 
-def _condition_rows(mean, cov, g, k: int, value, mag, tol: Tolerance,
-                    scale: float) -> ExtendedGaussian:
-    """Observe the first k coordinates of ``N(mean, cov) + span(g)`` at
-    ``value`` and keep the other r, on a joint in generator form, ``cov``
-    not normalized; ``mag`` is each row's magnitude before cancellation.
-    Every row of ``g`` is scaled by ``D^-1``, powers of two that bring its
-    ``mag`` into [0.5, 1), so that rank is told from residue at any row
-    scale.  One SVD of the observed rows, cut at ``rank_rel_tol``, gives
-    ``h = D_r g_r V_q S_q^-1 U_q^T D_o^-1`` (``g`` scaled), ``U =
-    col(D_o^-1 U_perp)`` and, cut apart so a steep row cannot hide the
-    others, ``H = col(D_r col(g_r V_perp))`` at ``||g_r||_2``.  Unless the
-    residual's part in ``U`` lies in the observed covariance's column space,
-    cut at ``max(||cov||_2, scale)``, raise :class:`InfeasibleObservation`;
-    else condition ``N(mean, cov)`` along that graph decomposition and
-    evaluate at ``value``."""
-    _check_finite(mean=mean, cov=cov, nondet=g)
+def _condition_rows(mean, f, g, k: int, value, mag, tol: Tolerance, scale: float):
+    """Observe the first k coordinates of ``mean + f z + span(g)``, ``z``
+    standard normal, at ``value``: the posterior of the other r and its
+    factor.  Each row of ``g`` is scaled by ``D^-1``, the power of two that
+    brings its magnitude before cancellation ``mag`` into [0.5, 1).  One SVD
+    of the observed rows, cut at ``rank_rel_tol``, gives ``h = D_r g_r V_q
+    S_q^-1 U_q^T D_o^-1``, ``perp = col(D_o^-1 U_perp)`` and, cut apart,
+    ``eta = col(D_r col(g_r V_perp))`` at ``||g_r||_2``.  One SVD of ``A =
+    perp^T f_o`` gives the rest: rank s counts ``sigma_i^2 > rank_rel_tol *
+    max(sigma_1^2, ||f||_2^2, scale)``; unless ``b = perp^T (value -
+    mean_o)`` lies in ``col(U_s)``, raise :class:`InfeasibleObservation`;
+    else, with ``K = f_r - h f_o``, the mean is ``mean_r + h (value -
+    mean_o) + K V_s S_s^-1 U_s^T b`` and the factor ``K V_perp``, both off
+    ``eta``.  No covariance is subtracted; its diagonal is checked (``cov``)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # cov: the covariance's diagonal
+        _check_finite(mean=mean, cov=np.square(f).sum(axis=1), nondet=g)
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
     (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
     # an empty block gets what numpy's SVD returns for it, without the call
     u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
     q = int(np.sum(s > tol.rank_rel_tol))
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
-    eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, 2)) if g_r.size else 0.0)
+    eta = column_space(g_r @ vt[q:].T, tol,  # no norm when that has no column
+                       float(np.linalg.norm(g_r, 2)) if g_r.size and q < len(vt) else 0.0)
     eta, perp = _scaled_basis(eta.basis, e_r), _scaled_basis(u[:, q:], -e_o)
-    supp, resid = np.zeros((0, 0)), np.zeros(0)
-    if k:
-        anchor = max(float(np.linalg.norm(cov, 2)), scale)
-        if not np.isfinite(anchor):  # finite entries such as 1e308 can overflow it
-            raise NonFiniteInput("joint covariance has an infinite norm")
-        supp = column_space(perp.T @ cov[:k, :k] @ perp, tol, scale=anchor).basis
-        resid = perp.T @ (value - mean[:k])
-    off = resid - supp @ (supp.T @ resid)
-    if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
-        raise InfeasibleObservation(
-            "observed value lies outside the support of the observed quantity"
-        )
-    split = (h, Subspace._of(len(e_r), eta), None, Subspace._of(k, perp))  # no D_X is read
-    nondet, lin, (mean, cov) = _conditional(np.zeros((len(mean), 0)), (mean, cov), split, tol)
-    mean = mean + lin @ value
+    (f_o, f_r), resid = np.split(f, [k]), value - mean[:k]
+    a, b = perp.T @ f_o, perp.T @ resid
+    ua, sa, vta = _svd(a) if a.size else (np.eye(len(b)), np.zeros(0), np.eye(f.shape[1]))
+    with np.errstate(over="ignore"):  # a float's ** raises past 1e154
+        anchor = max(float(np.square(np.linalg.norm(f, 2))) if k and f.size else 0.0, scale)
+    if not math.isfinite(anchor):  # finite entries such as 1e308 can overflow it
+        raise NonFiniteInput("joint covariance has an infinite norm")
+    sq = np.square(sa)
+    rank = int(np.sum(sq > tol.rank_rel_tol * max(float(sq.max(initial=0.0)), anchor)))
+    us, coef = ua[:, :rank], ua[:, :rank].T @ b
+    if float(np.linalg.norm(b - us @ coef)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
+        raise InfeasibleObservation("observed value lies outside the support of the observed quantity")
+    r = len(e_r)  # off eta with no SVD of its complement; exactly 0 if eta is everything
+    p = np.eye(r) - eta @ eta.T if eta.shape[1] < r else np.zeros((r, r))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        k_f = f_r - h @ f_o
+        mean = p @ (mean[k:] + h @ resid + k_f @ (vta[:rank].T @ (coef / sa[:rank])))
+        fac = p @ (k_f @ vta[rank:].T)
+        cov = fac @ fac.T
     _check_finite(mean=mean, cov=cov)
-    return ExtendedGaussian._from_normal(_DEC, nondet, np.zeros((len(mean), 0)), (mean, cov))
+    return ExtendedGaussian._from_normal(_DEC, Subspace._of(r, eta), np.zeros((r, 0)), (mean, cov)), fac
 
 
 def _scaled_basis(basis, e):
