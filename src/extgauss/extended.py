@@ -14,9 +14,9 @@ Conditionals decompose the nondeterminism into a function plus output
 noise, remove it from the Gaussian part with the closed-form projector
 this decomposition gives, and condition what is left with the Gaussian
 formulas.  Exact conditioning on linear events (``observe``) adjoins the
-residual as auxiliary coordinates, conditions on them, and evaluates the
-conditional at the observed value, failing loudly when the observation
-is off the support.
+residual as auxiliary coordinates and conditions a factor of that joint
+at the observed value, with no Schur complement (array square-root
+form), failing loudly when the observation is off the support.
 """
 
 from __future__ import annotations
@@ -273,9 +273,9 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
     a, b = np.vstack([obs, np.eye(n)]), psi.nondet.basis
-    w, vec = np.linalg.eigh(psi.cov)
+    w, vec = np.linalg.eigh(0.25 * psi.cov)  # exact; an eigenvalue past 1e308 stays finite
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        mean, f = a @ psi.mean, a @ (vec * np.sqrt(w.clip(0.0)))
+        mean, f = a @ psi.mean, a @ (vec * (2.0 * np.sqrt(w.clip(0.0))))
         g, mag = a @ b, np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
     return _condition_rows(mean, f, g, k, value, mag, tol, 0.0)[0]
 

@@ -331,6 +331,46 @@ class TestArrayLowering:
         for name in ("tensor", "pushforward", "_normal"):
             assert not hasattr(dsl, name)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generator_columns_stay_normalized(self, seed, monkeypatch):
+        # after every definition each used column of g has its largest
+        # entry in [0.5, 1] (1 for a uniform no definition has read since),
+        # and the lowering's top is that largest entry, bit for bit
+        rng = np.random.default_rng(8400 + seed)
+        lowered = []
+        condition = dsl._condition
+        monkeypatch.setattr(dsl, "_condition",
+                            lambda s, n, *args: lowered.append((s, n)) or condition(s, n, *args))
+        try:
+            interpret(parse(_steep_source(rng)))
+        except InfeasibleObservation:
+            pass  # the columns were lowered all the same
+        for s, n in lowered:
+            top = np.abs(s.g[:n, : s.u]).max(axis=0, initial=0.0)
+            assert np.all((top == 0.0) | ((0.5 <= top) & (top <= 1.0))), top
+            np.testing.assert_array_equal(s.top[: s.u], top)
+
+
+def _steep_source(rng) -> str:
+    """A random program of uniforms, samples and assignments whose
+    coefficients span sixteen orders of magnitude, with an observation or
+    two: no sum can overflow, and the columns of ``g`` are rescaled often."""
+    lines, names = [], []
+    for i in range(int(rng.integers(3, 10))):
+        kind = rng.choice(["uniform", "normal", "assign"] if names else ["uniform"])
+        if kind == "uniform":
+            lines.append(f"v{i} ~ uniform()")
+        else:
+            terms = "".join(
+                f"{float(rng.choice([3e-8, 0.3, 0.7, 1.0, 3.0, 1e8]))!r}*{names[j]} + "
+                for j in rng.choice(len(names), size=min(len(names), int(rng.integers(1, 4))),
+                                    replace=False))
+            lines.append(f"v{i} ~ normal({terms}1, 0.5)" if kind == "normal" else f"v{i} = {terms}1")
+        names.append(f"v{i}")
+        if rng.random() < 0.2:
+            lines.append(f"observe {names[int(rng.integers(0, len(names)))]} == 1")
+    return "\n".join(lines) + f"\nreturn {names[-1]}\n"
+
 
 def _random_straightline(rng, n_stmts):
     """A random observe-free program plus its law computed independently,

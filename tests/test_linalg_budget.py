@@ -14,15 +14,18 @@ from extgauss.subspace import Subspace
 
 STEPS = 12
 
-# Measured for this program when the interpreter began to lower each
+# Measured for this program when the conditional began to work on the
+# factor of the observed and returned rows, with one SVD of the observed
+# generator rows, one of the observed factor rows projected off them and
+# no eigh (6 before; 29 before the interpreter began to lower each
 # definition's Gaussian part as a row of a factor, with no covariance and
-# no PSD check per definition (29 before; 33 before it began to condition
-# only the observed and returned rows, with one SVD of the observed
-# generator rows; 34 before it lowered the program into arrays, with no
-# PSD check for a definition that reads only point masses; 104 before it
-# carried the nondeterminism as a generator matrix and orthonormalized it
-# once per program; 121 before psd_normalize began to decide and clamp
-# with one eigh and observe stopped making a rank cut on the image of its
+# no PSD check per definition; 33 before it began to condition only the
+# observed and returned rows, with one SVD of the observed generator rows;
+# 34 before it lowered the program into arrays, with no PSD check for a
+# definition that reads only point masses; 104 before it carried the
+# nondeterminism as a generator matrix and orthonormalized it once per
+# program; 121 before psd_normalize began to decide and clamp with one
+# eigh and observe stopped making a rank cut on the image of its
 # injective [obs; I]; 146 before the interpreter built each fresh
 # coordinate without the checking constructor; 148 before it deferred
 # every observation to one stacked observe at the end; 181 before the
@@ -34,26 +37,27 @@ STEPS = 12
 # before extended Gaussian maps became decorated relations, and 1,080
 # before the complement of a subspace became a write-once cache).  Lower
 # it when a change saves more.
-MAX_FACTORIZATIONS = 6
+MAX_FACTORIZATIONS = 3
 
-# Measured for the regression program below with the same change (14
-# before, 18 before the array lowering, 28 before the generator matrix,
-# 33 before the one-eigh psd_normalize, 43 before the fresh coordinates,
-# 73 before the stacked observe, 121 before the one-SVD graph
-# decomposition, 179 before the PSD change, 239 before the
-# graph-decomposition conditional).
-MAX_FLATREG_FACTORIZATIONS = 7
+# Measured for the regression program below with the same change (7
+# before, 14 before the factor lowering, 18 before the array lowering, 28
+# before the generator matrix, 33 before the one-eigh psd_normalize, 43
+# before the fresh coordinates, 73 before the stacked observe, 121 before
+# the one-SVD graph decomposition, 179 before the PSD change, 239 before
+# the graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 4
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
-# directions with the same change (8 before observe went through the row
+# directions with the same change, one eigh of which factors the
+# covariance (7 before; 8 before observe went through the row
 # conditional; 10 before, when the graph decomposition came from one SVD;
 # 22 before that, 32 before the PSD change).
-MAX_OBSERVE_FACTORIZATIONS = 7
+MAX_OBSERVE_FACTORIZATIONS = 5
 
 # Measured for the dense mixing program below, at 30 and at 90 variables,
-# with the factor lowering (33 and 93 before, with one eigh per definition
-# that read a live variable).
-MAX_MIXING_FACTORIZATIONS = 4
+# with the same change (4 before; 33 and 93 before the factor lowering,
+# with one eigh per definition that read a live variable).
+MAX_MIXING_FACTORIZATIONS = 2
 
 # Every numpy.linalg factorization, so that moving work from one onto
 # another cannot fake a drop.
@@ -187,3 +191,15 @@ def test_flatreg_program_factorization_budget(monkeypatch):
     assert report.posterior.nondet.dim == 2
     total = sum(counts.values())
     assert total <= MAX_FLATREG_FACTORIZATIONS, counts
+
+
+@pytest.mark.parametrize("program", [
+    _chain_program(STEPS), _mixing_program(30), _flatreg_program(),
+], ids=["chain", "mixing", "flatreg"])
+def test_interpret_makes_no_eigendecomposition(monkeypatch, program):
+    # the conditional works on factors: no Schur complement, so no eigh of a
+    # covariance and no PSD check anywhere on the path of a program
+    program = parse(program)
+    counts = _count_factorizations(monkeypatch)
+    interpret(program)
+    assert counts.get("eigh", 0) == counts.get("eigvalsh", 0) == 0, counts
