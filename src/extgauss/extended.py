@@ -10,13 +10,9 @@ componentwise comparison.
 Extended Gaussian maps ``x -> A x + N(mean, cov) + nondet`` are the
 decorated relations over the point/covariance noise pair, so the relation
 engine alone computes their normal form, composition and tensor.
-Conditionals decompose the nondeterminism into a function plus output
-noise, remove it from the Gaussian part with the closed-form projector
-this decomposition gives, and condition what is left with the Gaussian
-formulas.  Exact conditioning on linear events (``observe``) adjoins the
-residual as auxiliary coordinates and conditions a factor of that joint
-at the observed value, with no Schur complement (array square-root
-form), failing loudly when the observation is off the support.
+Conditionals and exact conditioning on linear events (``observe``)
+condition a factor of the joint by one algorithm, with no Schur complement
+(array square-root form); ``observe`` fails loudly off the support.
 """
 
 from __future__ import annotations
@@ -26,11 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gauss
 from .decorated import (CovDec, DecoratedRelation, PairDec, PointDec, congruent,
                         rel_compose, rel_tensor)
 from .gauss import AffineSupportMap, GaussianMap, _ro, psd_normalize
-from .linrel import graph_decompose
 from .subspace import (
     DEFAULT_TOL,
     NonFiniteInput,
@@ -236,34 +230,29 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     """Conditional of a map into R^{nx} x R^{ny}.
 
     For ``phi : A -> X x Y`` returns a map ``X x A -> Y`` reproducing the
-    joint when composed with the X-marginal.  The graph decomposition
-    ``D = {(x, h x + eta) : x in D_X, eta in H}`` of the nondeterminism
-    gives the projector ``t = [[P_U, 0], [-h, I]]``, ``U = D_X^perp``,
-    which sends ``(d_x, h d_x + eta)`` to ``(0, eta)``; the normal form on
-    ``H`` drops ``eta``.  The Gaussian part ``t phi`` is conditioned with
-    the usual formulas, and inputs in ``D_X`` act through ``h``.  Only its
-    Schur complement is checked for PSD; the result is built by projection.
-    """
-    h, h_sub, _, u = graph_decompose(phi.nondet, nx, tol)  # raises unless 0 <= nx <= cod_dim
-    p_u = u.projector()  # not I - P_DX, whose residue fakes X-covariance rank if D_X = X
-    t = np.block([[p_u, np.zeros((nx, len(h)))], [-h, np.eye(len(h))]])
-    g_lin, mean, cov = gauss._conditional(t @ phi.lin, *_DEC.push(t, phi.noise), nx, tol)
-    p = h_sub.complement_projector()
-    lin = p @ np.hstack([g_lin[:, :nx] @ p_u + h, g_lin[:, nx:]])
-    return ExtendedGaussianMap._from_normal(_DEC, h_sub, lin, _DEC.push(p, (mean, cov)))
+    joint when composed with the X-marginal.  The posterior mean is affine
+    in the value, so :func:`_conditional_rows` conditions the factor of
+    ``phi`` on ``[0 | lin | mean]`` at the columns ``[I | 0 | 0]``, giving
+    ``[gain | lin_Y - gain lin_X | mean_Y - gain mean_X]``.  X-variances
+    below ``eps * dim * max|cov|`` count as zero; off the support of X it
+    is extended by zero.  Nothing is subtracted or checked."""
+    m = phi.cod_dim
+    if not 0 <= nx <= m:
+        raise ValueError(f"split {nx} out of range for R^{m}")
+    mean, f, g, mag = _factor(phi, np.eye(m), tol)
+    data = np.hstack([np.zeros((m, nx)), phi.lin, mean[:, None]])
+    anchor = np.finfo(float).eps * m * float(np.abs(phi.cov).max(initial=0.0)) / tol.rank_rel_tol
+    eta, mean, _, cov, _ = _conditional_rows(data, f, g, nx, np.eye(nx, data.shape[1]), mag, tol, anchor)
+    return ExtendedGaussianMap._from_normal(_DEC, eta, mean[:, :-1], (mean[:, -1], cov))
 
 
 def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
     """Condition on the exact linear event ``obs @ x = value``.
 
-    The mean, a factor of the covariance (one ``eigh``) and the basis ``B``
-    of the nondeterminism are pushed along ``a = [obs; I]``, unchecked, and
-    :func:`_condition_rows` conditions that joint on its first k rows, the
-    residual ``obs @ x``, at the value.  ``B`` enters with unit magnitude
-    on each coordinate it spans, so a row's magnitude is ``|a|`` summed
-    over them.  Raises :class:`InfeasibleObservation` when the value lies
-    outside the support of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf.
-    """
+    :func:`_condition_rows` conditions the joint of :func:`_factor` along
+    ``[obs; I]`` on its first k rows, the residual ``obs @ x``, at the
+    value.  Raises :class:`InfeasibleObservation` when the value lies
+    outside the support of ``obs @ x``, :class:`NonFiniteInput` on NaN or Inf."""
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     value = np.asarray(value, dtype=float).reshape(-1)
     k, n = obs.shape
@@ -272,30 +261,54 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     if value.shape != (k,):
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
-    a, b = np.vstack([obs, np.eye(n)]), psi.nondet.basis
-    w, vec = np.linalg.eigh(0.25 * psi.cov)  # exact; an eigenvalue past 1e308 stays finite
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        mean, f = a @ psi.mean, a @ (vec * (2.0 * np.sqrt(w.clip(0.0))))
-        g, mag = a @ b, np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
+    mean, f, g, mag = _factor(psi, np.vstack([obs, np.eye(n)]), tol)
     return _condition_rows(mean, f, g, k, value, mag, tol, 0.0)[0]
 
 
+def _factor(phi: ExtendedGaussianMap, a, tol: Tolerance):
+    """``a`` times the mean, a factor of the covariance (one ``eigh``) and
+    the basis ``B`` of the nondeterminism of ``phi``, unchecked, and the
+    rows' magnitudes: ``|a|`` summed over the coordinates ``B`` spans.
+    Eigenvalues up to ``eps * n * lambda_max`` are rounding, not variance."""
+    w, vec = np.linalg.eigh(0.25 * phi.cov)  # exact; an eigenvalue past 1e308 stays finite
+    w[w <= np.finfo(float).eps * len(w) * w.max(initial=0.0)] = 0.0
+    b = phi.nondet.basis
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
+        mag = np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
+        return a @ phi.mean, a @ (vec * (2.0 * np.sqrt(w))), a @ b, mag
+
+
 def _condition_rows(mean, f, g, k: int, value, mag, tol: Tolerance, scale: float):
-    """Observe the first k coordinates of ``mean + f z + span(g)``, ``z``
-    standard normal, at ``value``: the posterior of the other r and its
-    factor.  Each row of ``g`` is scaled by ``D^-1``, the power of two that
-    brings its magnitude before cancellation ``mag`` into [0.5, 1).  One SVD
-    of the observed rows, cut at ``rank_rel_tol``, gives ``h = D_r g_r V_q
-    S_q^-1 U_q^T D_o^-1``, ``perp = col(D_o^-1 U_perp)`` and, cut apart,
-    ``eta = col(D_r col(g_r V_perp))`` at ``||g_r||_2``.  One SVD of ``A =
-    perp^T f_o`` gives the rest: rank s counts ``sigma_i^2 > rank_rel_tol *
-    max(sigma_1^2, ||f||_2^2, scale)``; unless ``b = perp^T (value -
-    mean_o)`` lies in ``col(U_s)``, raise :class:`InfeasibleObservation`;
-    else, with ``K = f_r - h f_o``, the mean is ``mean_r + h (value -
-    mean_o) + K V_s S_s^-1 U_s^T b`` and the factor ``K V_perp``, both off
-    ``eta``.  No covariance is subtracted; its diagonal is checked (``cov``)."""
+    """:func:`_conditional_rows` at ``value`` with anchor ``max(||f||_2^2,
+    scale)``: the posterior and its factor, after checks of the joint's
+    diagonal (``cov``), the anchor, the support and the posterior."""
     with np.errstate(over="ignore", invalid="ignore"):  # cov: the covariance's diagonal
         _check_finite(mean=mean, cov=np.square(f).sum(axis=1), nondet=g)
+    with np.errstate(over="ignore"):  # a float's ** raises past 1e154
+        anchor = max(float(np.square(np.linalg.norm(f, 2))) if k and f.size else 0.0, scale)
+    if not math.isfinite(anchor):  # finite entries such as 1e308 can overflow it
+        raise NonFiniteInput("joint covariance has an infinite norm")
+    eta, mean, fac, cov, dist = _conditional_rows(mean, f, g, k, value, mag, tol, anchor)
+    if dist > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
+        raise InfeasibleObservation("observed value lies outside the support of the observed quantity")
+    _check_finite(mean=mean, cov=cov)
+    return ExtendedGaussian._from_normal(_DEC, eta, np.zeros((len(mean), 0)), (mean, cov)), fac
+
+
+def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: float):
+    """Condition the first k coordinates of ``mean + f z + span(g)``, ``z``
+    standard normal, at ``value`` (``mean`` and ``value`` may carry columns
+    alike): the other r's nondeterminism ``eta``, mean, factor ``K V_perp``
+    and covariance, unchecked, and the distance of ``value`` to the support.
+    Each row of ``g`` is scaled by ``D^-1``, the power of two that brings its
+    magnitude before cancellation ``mag`` into [0.5, 1).  One SVD of the
+    observed rows, cut at ``rank_rel_tol``, gives ``h = D_r g_r V_q S_q^-1
+    U_q^T D_o^-1``, ``perp = col(D_o^-1 U_perp)`` and, cut apart, ``eta =
+    col(D_r col(g_r V_perp))`` at ``||g_r||_2``.  One SVD of ``A = perp^T
+    f_o``, dominant column first, gives the rest: rank s counts ``sigma_i^2
+    > rank_rel_tol * max(sigma_1^2, anchor)`` and, with ``b = perp^T (value
+    - mean_o)`` and ``K = f_r - h f_o``, the mean is ``mean_r + h (value -
+    mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``, extended by 0 off U_s."""
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
     (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
     # an empty block gets what numpy's SVD returns for it, without the call
@@ -307,25 +320,21 @@ def _condition_rows(mean, f, g, k: int, value, mag, tol: Tolerance, scale: float
     eta, perp = _scaled_basis(eta.basis, e_r), _scaled_basis(u[:, q:], -e_o)
     (f_o, f_r), resid = np.split(f, [k]), value - mean[:k]
     a, b = perp.T @ f_o, perp.T @ resid
+    with np.errstate(over="ignore"):  # dominant column first, or the SVD cancels in V_perp
+        order = np.argsort(-np.linalg.norm(a, axis=0), kind="stable")
+    a, f_o, f_r = a[:, order], f_o[:, order], f_r[:, order]
     ua, sa, vta = _svd(a) if a.size else (np.eye(len(b)), np.zeros(0), np.eye(f.shape[1]))
-    with np.errstate(over="ignore"):  # a float's ** raises past 1e154
-        anchor = max(float(np.square(np.linalg.norm(f, 2))) if k and f.size else 0.0, scale)
-    if not math.isfinite(anchor):  # finite entries such as 1e308 can overflow it
-        raise NonFiniteInput("joint covariance has an infinite norm")
     sq = np.square(sa)
     rank = int(np.sum(sq > tol.rank_rel_tol * max(float(sq.max(initial=0.0)), anchor)))
     us, coef = ua[:, :rank], ua[:, :rank].T @ b
-    if float(np.linalg.norm(b - us @ coef)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
-        raise InfeasibleObservation("observed value lies outside the support of the observed quantity")
     r = len(e_r)  # off eta with no SVD of its complement; exactly 0 if eta is everything
     p = np.eye(r) - eta @ eta.T if eta.shape[1] < r else np.zeros((r, r))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         k_f = f_r - h @ f_o
-        mean = p @ (mean[k:] + h @ resid + k_f @ (vta[:rank].T @ (coef / sa[:rank])))
+        mean = p @ (mean[k:] + h @ resid + k_f @ (vta[:rank].T @ (coef.T / sa[:rank]).T))
         fac = p @ (k_f @ vta[rank:].T)
         cov = fac @ fac.T
-    _check_finite(mean=mean, cov=cov)
-    return ExtendedGaussian._from_normal(_DEC, Subspace._of(r, eta), np.zeros((r, 0)), (mean, cov)), fac
+    return Subspace._of(r, eta), mean, fac, cov, float(np.linalg.norm(b - us @ coef))
 
 
 def _scaled_basis(basis, e):

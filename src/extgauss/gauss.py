@@ -41,10 +41,10 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     eigenvalue exceeds ``tol.eq_abs_tol``, measured relative to the
     magnitude of the matrix for data away from unit scale.  ``scale``
     lets callers whose matrix is a small difference of large quantities
-    widen the bound to the magnitude of those inputs.  One ``eigh``
-    both decides and clamps.  The library runs it where a covariance
-    enters or is made by subtraction (the Schur complement): pushed,
-    projected and summed PSD forms stay PSD.
+    widen the bound to the magnitude of those inputs (the Schur complement
+    of :func:`conditional`).  One ``eigh`` both decides and clamps.  The
+    library runs it where a covariance enters a public constructor: its
+    pushed, projected and summed PSD forms stay PSD.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -202,30 +202,26 @@ def conditional(f: GaussianMap, nx: int, tol: Tolerance = DEFAULT_TOL) -> Gaussi
     the X-marginal of ``f`` and then ``g`` reproduces the joint.  Singular
     X-covariances are handled with the pseudoinverse; among the almost
     surely equal conditionals this picks one canonical representative.
+    This is the covariance-form oracle: the Schur complement is checked
+    for PSD.  ``extended.conditional`` works on a factor instead.
     """
     if not 0 <= nx <= f.cod_dim:
         raise ValueError(f"split {nx} out of range for codomain {f.cod_dim}")
-    return GaussianMap(*_conditional(f.lin, f.mean, f.cov, nx, tol), tol)
-
-
-def _conditional(lin, mean, cov, nx: int, tol: Tolerance):
-    """``(lin, mean, schur)`` of :func:`conditional` on the arrays of a map
-    with PSD ``cov``; only the Schur complement is checked for PSD."""
-    a_x, a_y = lin[:nx], lin[nx:]
-    mu_x, mu_y = mean[:nx], mean[nx:]
-    s_xx = cov[:nx, :nx]
-    s_yx = cov[nx:, :nx]
-    s_xy = cov[:nx, nx:]
-    s_yy = cov[nx:, nx:]
+    a_x, a_y = f.lin[:nx], f.lin[nx:]
+    mu_x, mu_y = f.mean[:nx], f.mean[nx:]
+    s_xx = f.cov[:nx, :nx]
+    s_yx = f.cov[nx:, :nx]
+    s_xy = f.cov[:nx, nx:]
+    s_yy = f.cov[nx:, nx:]
     # the Schur complement is a difference of input-scale quantities, so
     # its rounding defects are judged at the input's magnitude; so are the
     # X-variances, whose inverse would turn rounding residue into gain
-    scale = float(np.max(np.abs(cov))) if cov.size else 0.0
+    scale = float(np.max(np.abs(f.cov))) if f.cov.size else 0.0
     w, v = np.linalg.eigh(s_xx)
-    keep = w > max(tol.rank_rel_tol * w.max(initial=0.0), np.finfo(float).eps * len(cov) * scale)
+    keep = w > max(tol.rank_rel_tol * w.max(initial=0.0), np.finfo(float).eps * len(f.cov) * scale)
     gain = (s_yx @ v[:, keep] / w[keep]) @ v[:, keep].T
     schur = psd_normalize(s_yy - gain @ s_xy, tol, scale=scale)
-    return np.hstack([gain, a_y - gain @ a_x]), mu_y - gain @ mu_x, schur
+    return GaussianMap(np.hstack([gain, a_y - gain @ a_x]), mu_y - gain @ mu_x, schur, tol)
 
 
 class AffineSupportMap:

@@ -847,6 +847,16 @@ class TestDeferredObservations:
             _reference_interpret(parse(before))
         assert _reference_interpret(parse(after)).posterior.equals(E.dirac([1.0]))
 
+    def test_a_dominant_later_variance_keeps_the_small_one_exact(self):
+        # x1's column of F comes second; unless the SVD of the observed rows
+        # takes it first, its Householder step cancels and the covariance
+        # loses 3.9e-10 relative
+        v = 1e12
+        post = interpret(parse("x2 ~ normal(0, 1); x1 ~ normal(0, 1e12); "
+                               "observe x1 + x2 == 0; return x1, x2")).posterior
+        expected = v / (v + 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert np.max(np.abs(post.cov - expected)) <= 1e-14 * np.max(np.abs(expected))
+
 
 def _tau_posterior(program, tau):
     """Mean and covariance of the returned variables when every uniform()

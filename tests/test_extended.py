@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import warnings
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extgauss import decorated
+from extgauss import decorated, dsl
 from extgauss import extended as E
 from extgauss import gauss
 from extgauss.decorated import DecoratedRelation, congruent
@@ -272,6 +274,49 @@ class TestConditional:
         g = gauss.conditional(gauss.distribution(mean, cov, LOOSE_RANK), 1, LOOSE_RANK)
         assert np.linalg.eigvalsh(g.cov)[0] > 1e7
 
+    @pytest.mark.parametrize("nx", [-1, 3])
+    def test_split_out_of_range(self, nx):
+        with pytest.raises(ValueError, match="out of range"):
+            E.conditional(uniform(2), nx)
+
+    def test_a_unit_scale_joint_of_rank_three(self):
+        # the Schur complement of this joint's covariance form reads an
+        # eigenvalue of -4.1e-6 (NotPSD); Y is a function of X exactly
+        f = np.array([[-0.137, -0.063, -0.115], [4.572, -8.158, 4.088],
+                      [-0.131, -0.054, -0.111], [11.76, 0.716, -9.095]])
+        cov = f @ f.T
+        cond = E.conditional(gaussian(np.zeros(4), cov), 3)
+        gain = f[3] @ np.linalg.inv(f[:3])
+        assert np.max(np.abs(cond.lin[0] - gain)) <= 1e-9 * np.max(np.abs(gain))
+        assert np.max(np.abs(cond.cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_a_rank_one_joint_is_a_function_of_x0(self):
+        # the covariance form, a Schur complement of the clamped input,
+        # leaves 0.80 in a Y-variance and 2.8e-5 relative in the gain
+        f = np.array([[3.6219160929404137e-4], [-0.05795544616434533], [4.560408608748837],
+                      [0.005265489755454017], [170.16439245674098]])
+        cov = f @ f.T
+        cond = E.conditional(gaussian(np.zeros(5), cov), 1)
+        gain = f[1:] / f[0]
+        assert np.max(np.abs(cond.lin - gain)) <= 1e-12 * np.max(np.abs(gain))
+        assert np.max(np.abs(np.diag(cond.cov))) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_the_engine_shares_no_conditioner_with_the_oracles(self):
+        # linrel and gauss.conditional are the references of
+        # TestClosedFormConditional: the engine and the language must not call them
+        for module in (E, dsl):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                    assert "linrel" not in (node.module or "").split(".") + list(names), module
+                    if (node.module or "").split(".")[-1] == "gauss":
+                        assert not names & {"conditional", "_conditional"}, module
+                elif isinstance(node, ast.Import):
+                    assert not any("linrel" in a.name.split(".") for a in node.names), module
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert (node.value.id, node.attr) not in {
+                        ("gauss", "conditional"), ("gauss", "_conditional")}, module
+
     @pytest.mark.parametrize("seed", range(60))
     def test_reconstruction_random(self, seed):
         rng = np.random.default_rng(7400 + seed)
@@ -518,7 +563,8 @@ def _reference_conditional(phi, nx, tol=DEFAULT_TOL):
 
 def _reference_observe(psi, obs, value, tol=DEFAULT_TOL):
     """Exact conditioning through the X-marginal of the joint for the
-    support check and composition with a Dirac for the evaluation."""
+    support check and composition of :func:`_reference_conditional` with a
+    Dirac for the evaluation, so it shares no conditioner with ``observe``."""
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     value = np.asarray(value, dtype=float).reshape(-1)
     k, n = obs.shape
@@ -530,7 +576,7 @@ def _reference_observe(psi, obs, value, tol=DEFAULT_TOL):
     off = resid - supp.basis @ (supp.basis.T @ resid)
     if float(np.linalg.norm(off)) > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
         raise InfeasibleObservation("off the support")
-    return as_distribution(E.compose(E.conditional(joint, k, tol), dirac(value), tol))
+    return as_distribution(E.compose(_reference_conditional(joint, k, tol), dirac(value), tol))
 
 
 def _lower_expr(expr, index, what):
@@ -647,9 +693,9 @@ def _conditional_case(rng, shape):
 
 
 class TestClosedFormConditional:
-    """``conditional`` removes the nondeterminism with the projector built
-    from the graph decomposition; the structured-complement construction
-    is the reference."""
+    """``conditional`` conditions the factor of the normal form; the
+    structured-complement construction with the covariance-form
+    ``gauss.conditional`` is the reference."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_structured_complement_construction(self, seed):
@@ -804,6 +850,14 @@ class TestObserveAtAPoint:
         np.testing.assert_allclose(post.mean, [0.5, 0.0], atol=1e-12)
         np.testing.assert_allclose(post.cov, np.zeros((2, 2)), atol=1e-12)
 
+    def test_a_dominant_variance_keeps_the_small_one_exact(self):
+        # eigh orders the factor's columns by ascending variance, so x0's
+        # comes second; the SVD of the observed rows must take it first
+        v = 1e12
+        post = observe(gaussian([0.0, 0.0], np.diag([v, 1.0])), [[1.0, 1.0]], [0.0])
+        expected = v / (v + 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert np.max(np.abs(post.cov - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_no_svd_without_nondeterminism(self, monkeypatch):
         psi = E.gaussian([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
         calls = []
@@ -831,10 +885,14 @@ def _low_rank(rng, rows, cols, rank):
 
 class TestConditionRows:
     """``_condition_rows`` conditions a joint given in generator form, with
-    the Gaussian part as a factor, and keeps the returned rows: the same
-    posterior as ``conditional`` on the normal form, at the value.  Seeds
-    169 and 414 left up to 1.6e-9 of rounding noise in a covariance whose
-    exact value is 0 when the conditional subtracted a Schur complement."""
+    rows of different scales and the Gaussian part as a factor, and keeps
+    the returned rows.  ``conditional`` goes through the same conditioner
+    from the normal form, with an orthonormal basis and an ``eigh`` factor,
+    so this checks the generator-form input against that path, at the
+    value; ``TestClosedFormConditional`` checks the conditioner against an
+    independent oracle.  Seeds 169 and 414 left up to 1.6e-9 of rounding
+    noise in a covariance whose exact value is 0 when the generator-form
+    path subtracted a Schur complement."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 2**32 - 1))
@@ -871,9 +929,9 @@ def _assert_psd_to_rounding(cov, what):
 
 
 class TestCheckWhereCreated:
-    """A covariance is checked for PSD where it enters and where it is made
-    by subtraction (the Schur complement of ``conditional``), and nowhere
-    else: ``observe`` conditions a factor and subtracts nothing."""
+    """A covariance is checked for PSD where it enters a public constructor,
+    and nowhere else: ``conditional`` and ``observe`` condition a factor
+    and subtract nothing."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_psd_normalize_calls(self, seed, monkeypatch):
@@ -888,7 +946,7 @@ class TestCheckWhereCreated:
         for phi, nx, psi, obs, value in cases:
             for run, expected in (
                 (lambda: ExtendedGaussianMap(phi.nondet, phi.lin, phi.mean, phi.cov), 1),
-                (lambda: E.conditional(phi, nx), 1),
+                (lambda: E.conditional(phi, nx), 0),
                 (lambda: observe(psi, obs, value), 0),
             ):
                 counts.clear()

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from extgauss.dsl import interpret, parse
+from extgauss import extended as E
 from extgauss.extended import ExtendedGaussian, observe
 from extgauss.subspace import Subspace
+
+from test_extended import _NONDET_SHAPES, _conditional_case
 
 STEPS = 12
 
@@ -58,6 +61,13 @@ MAX_OBSERVE_FACTORIZATIONS = 5
 # with the same change (4 before; 33 and 93 before the factor lowering,
 # with one eigh per definition that read a live variable).
 MAX_MIXING_FACTORIZATIONS = 2
+
+# Measured for the conditional of the coupled pair of acceptance criterion
+# 2 when conditionals began to condition the factor of the normal form:
+# one eigh factors the covariance and one SVD splits the nondeterminism
+# (3 before, with the graph decomposition's SVD, the eigh of the
+# X-covariance and the eigh of the PSD check of the Schur complement).
+MAX_CONDITIONAL_FACTORIZATIONS = 2
 
 # Every numpy.linalg factorization, so that moving work from one onto
 # another cannot fake a drop.
@@ -203,3 +213,24 @@ def test_interpret_makes_no_eigendecomposition(monkeypatch, program):
     counts = _count_factorizations(monkeypatch)
     interpret(program)
     assert counts.get("eigh", 0) == counts.get("eigvalsh", 0) == 0, counts
+
+
+def test_coupled_pair_conditional_factorization_budget(monkeypatch):
+    psi = ExtendedGaussian(Subspace.span([[1.0, 1.0]]), [0.0, 0.0], np.eye(2))
+    counts = _count_factorizations(monkeypatch)
+    cond = E.conditional(psi, 1)
+    assert cond.nondet.dim == 0
+    total = sum(counts.values())
+    assert total <= MAX_CONDITIONAL_FACTORIZATIONS, counts
+
+
+def test_conditional_makes_one_eigh(monkeypatch):
+    # the factor of the covariance is the only eigendecomposition: no
+    # eigh of the X-covariance and no PSD check of a Schur complement
+    rng = np.random.default_rng(8450)
+    cases = [_conditional_case(rng, _NONDET_SHAPES[i % 4]) for i in range(100)]
+    counts = _count_factorizations(monkeypatch)
+    for phi, nx in cases:
+        counts.clear()
+        E.conditional(phi, nx)
+        assert counts.get("eigh", 0) <= 1 and counts.get("eigvalsh", 0) == 0, counts

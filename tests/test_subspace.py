@@ -552,7 +552,7 @@ class TestSvdRetry:
         want = observe(psi, obs, [1.0, -1.0])
         failed = self._fail_first_svd(monkeypatch)
         got = observe(psi, obs, [1.0, -1.0])
-        assert failed == ["_condition_rows"]
+        assert failed == ["_conditional_rows"]
         assert got.nondet.dim == want.nondet.dim and got.equals(want)
 
     def test_the_interpreters_generator(self, monkeypatch):
@@ -561,5 +561,5 @@ class TestSvdRetry:
         want = interpret(program).posterior
         failed = self._fail_first_svd(monkeypatch)
         got = interpret(program).posterior
-        assert failed == ["_condition_rows"]
+        assert failed == ["_conditional_rows"]
         assert got.nondet.dim == want.nondet.dim == 2 and got.equals(want)
