@@ -124,30 +124,36 @@ def _load_program(path: str):
         return handle.read()
 
 
+def _posterior(source: str, flag_tol, where: str):
+    """Interpret ``source`` at the resolved tolerance: the report and exit
+    code 0, or None and the exit code after the error is printed, its
+    location prefixed by ``where``."""
+    try:
+        tol = _resolve_tol(flag_tol)
+    except ValueError as exc:
+        print(f"error: invalid tolerance: {exc}", file=sys.stderr)
+        return None, 1
+    try:
+        report = interpret(parse(source), tol)
+    except (ParseError, TypeCheckError, NonFiniteInput, InfeasibleObservation) as exc:
+        print(f"{where}:{exc}", file=sys.stderr)
+        return None, 2 if isinstance(exc, InfeasibleObservation) else 1
+    if not _is_finite(report):
+        print(_NOT_FINITE, file=sys.stderr)
+        return None, 1
+    return report, 0
+
+
 def _cmd_run(args) -> int:
     try:
         text = _load_program(args.file)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    try:
-        tol = _resolve_tol(args.tol)
-    except ValueError as exc:
-        print(f"error: invalid tolerance: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = interpret(parse(text), tol)
-    except (ParseError, TypeCheckError, NonFiniteInput) as exc:
-        print(f"{args.file}:{exc}", file=sys.stderr)
-        return 1
-    except InfeasibleObservation as exc:
-        print(f"{args.file}:{exc}", file=sys.stderr)
-        return 2
-    if not _is_finite(report):
-        print(_NOT_FINITE, file=sys.stderr)
-        return 1
-    _print_report(report, args.json)
-    return 0
+    report, code = _posterior(text, args.tol, args.file)
+    if report is not None:
+        _print_report(report, args.json)
+    return code
 
 
 def _cmd_check(args) -> int:
@@ -168,20 +174,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_demo(args) -> int:
     demo = DEMOS[args.name]
-    try:
-        tol = _resolve_tol(args.tol)
-    except ValueError as exc:
-        print(f"error: invalid tolerance: {exc}", file=sys.stderr)
-        return 1
-    program = parse(demo["source"])
-    try:
-        report = interpret(program, tol)
-    except InfeasibleObservation as exc:  # pragma: no cover - demos are feasible
-        print(f"demo {args.name}:{exc}", file=sys.stderr)
-        return 2
-    if not _is_finite(report):
-        print(_NOT_FINITE, file=sys.stderr)
-        return 1
+    report, code = _posterior(demo["source"], args.tol, f"demo {args.name}")
+    if report is None:
+        return code
     if args.json:
         print(_dumps(report.to_dict()))
         return 0

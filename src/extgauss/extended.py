@@ -34,7 +34,6 @@ from .subspace import (
     _fix_signs,
     _svd,
     column_space,
-    image,
     intersect,
     minkowski_sum,
     pseudoinverse,
@@ -187,26 +186,25 @@ def tensor(f: ExtendedGaussianMap, g: ExtendedGaussianMap,
 
 
 def pushforward(a, psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
-    """Image distribution under a matrix: the nondeterminism maps along.
-
-    An overflow raises :class:`NonFiniteInput` from the constructor,
-    without a numpy warning first; so does one in :func:`translate`.
-    """
+    """Image distribution under a matrix: :func:`compose` with the
+    noiseless map ``a``, so the nondeterminism maps along and an overflow
+    raises :class:`NonFiniteInput` there."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != psi.dim:
         raise ValueError(f"matrix of shape {a.shape} applied to R^{psi.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, cov = a @ psi.mean, a @ psi.cov @ a.T
-    return ExtendedGaussian(image(a, psi.nondet, tol), mean, cov, tol)
+    m = a.shape[0]
+    return compose(ExtendedGaussianMap._from_normal(_DEC, Subspace.zero(m), a, _DEC.zero(m)), psi, tol)
 
 
 def translate(psi: ExtendedGaussian, v, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
-    """Shift by a constant vector; shifts inside ``nondet`` are absorbed."""
+    """Shift by a constant vector; shifts inside ``nondet`` are absorbed.
+    An overflow raises :class:`NonFiniteInput`, without a numpy warning."""
     if np.shape(v) != (psi.dim,):
         raise ValueError(f"shift of shape {np.shape(v)}, expected ({psi.dim},)")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = psi.mean + v
-    return ExtendedGaussian(psi.nondet, mean, psi.cov, tol)
+        mean = psi.mean + psi.nondet.complement_projector() @ np.asarray(v, dtype=float)
+    _check_finite(mean=mean)
+    return ExtendedGaussian._from_normal(_DEC, psi.nondet, psi.lin, (mean, psi.cov))
 
 
 def marginal(psi: ExtendedGaussian, coords: Sequence[int],
@@ -311,8 +309,7 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``, extended by 0 off U_s."""
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
     (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
-    # an empty block gets what numpy's SVD returns for it, without the call
-    u, s, vt = _svd(g_o) if g_o.size else (np.eye(k), np.zeros(0), np.eye(g.shape[1]))
+    u, s, vt = _svd(g_o)
     q = int(np.sum(s > tol.rank_rel_tol))
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
     eta = column_space(g_r @ vt[q:].T, tol,  # no norm when that has no column
@@ -323,7 +320,7 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     with np.errstate(over="ignore"):  # dominant column first, or the SVD cancels in V_perp
         order = np.argsort(-np.linalg.norm(a, axis=0), kind="stable")
     a, f_o, f_r = a[:, order], f_o[:, order], f_r[:, order]
-    ua, sa, vta = _svd(a) if a.size else (np.eye(len(b)), np.zeros(0), np.eye(f.shape[1]))
+    ua, sa, vta = _svd(a)
     sq = np.square(sa)
     rank = int(np.sum(sq > tol.rank_rel_tol * max(float(sq.max(initial=0.0)), anchor)))
     us, coef = ua[:, :rank], ua[:, :rank].T @ b
@@ -340,7 +337,7 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
 def _scaled_basis(basis, e):
     """A sign-canonical orthonormal basis of ``col(2^e basis)`` for an
     orthonormal ``basis``, by one thin SVD with no rank cut if it is not one."""
-    if 0 < basis.shape[1] < basis.shape[0] and np.ptp(e):
+    if basis.shape[1] < basis.shape[0] and np.ptp(e):
         basis = _svd(np.ldexp(basis, e[:, None]), full_matrices=False)[0]
     return _fix_signs(basis)
 

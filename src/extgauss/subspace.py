@@ -9,16 +9,7 @@ inner product; this fixes one concrete matrix realization of statements
 that are basis-free in the abstract.
 
 Every operation is a pure function and a :class:`Subspace` cannot be
-changed after construction, except for one write-once cache: the first
-call to :meth:`Subspace.annihilator` stores the complement it computes, and
-later calls return that same object.  Two threads that race on the first
-call both compute the same value and one of them is kept, so values are
-still safe to share between threads.
-
-Some constructions have shortcuts: the complement of the zero and of the
-full subspace, and the image or intersection of a zero subspace.  Each
-shortcut returns bit for bit what the general path returns for the same
-input.
+changed after construction, so values are safe to share between threads.
 
 A basis is checked where it enters: ``Subspace(n, basis, tol)`` tests its
 shape, finiteness and orthonormality, and ``Subspace.span``,
@@ -92,25 +83,19 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 
 
 def _is_orthonormal(basis: np.ndarray, atol: float) -> bool:
-    """Whether ``np.allclose(basis.T @ basis, I, atol=atol)`` holds.
-
-    Same entrywise test, ``|gram - I| <= atol + 1e-5 * I``, so the same
-    bases are accepted and rejected, NaN ones included.
-    """
-    gram = basis.T @ basis
-    if gram.size == 0:
-        return True
-    off = np.abs(gram)
-    off.flat[:: gram.shape[0] + 1] = 0.0  # the diagonal, tested on its own below
-    return bool(
-        off.max() <= atol and np.abs(gram.diagonal() - 1.0).max() <= atol + 1e-5
-    )
+    """Whether ``np.allclose(basis.T @ basis, I, atol=atol)`` holds."""
+    return bool(np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=atol))
 
 
 def _svd(m: np.ndarray, full_matrices: bool = True):
     """``np.linalg.svd(m, full_matrices)``; when it does not converge (gesdd
     can fail on benign input), the SVD of the reversed rows, which changes
-    its bidiagonal, with the rows of ``u`` put back."""
+    its bidiagonal, with the rows of ``u`` put back.  An empty ``m`` gets
+    what numpy returns for it, identity factors and no singular value,
+    without a LAPACK call."""
+    if m.size == 0:
+        p, q = m.shape
+        return np.eye(p, p if full_matrices else 0), np.zeros(0), np.eye(q if full_matrices else 0, q)
     try:
         return np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
@@ -130,8 +115,6 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> 
     matrix from faking full rank.
     """
     m = _as_float_matrix(m)
-    if m.shape[1] == 0 or m.shape[0] == 0:
-        return np.zeros((m.shape[0], 0))
     u, s, _ = _svd(m, full_matrices=False)
     cutoff = tol.rank_rel_tol * max(float(s[0]) if s.size else 0.0, scale)
     rank = int(np.sum(s > cutoff))
@@ -146,7 +129,7 @@ class Subspace:
     projectors agree entrywise within tolerance.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_complement")
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis, tol: Tolerance = DEFAULT_TOL):
         ambient_dim = int(ambient_dim)
@@ -176,7 +159,6 @@ class Subspace:
         basis.setflags(write=False)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_complement", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -233,20 +215,9 @@ class Subspace:
         return self.annihilator().projector()
 
     def annihilator(self) -> "Subspace":
-        """The orthogonal complement (the annihilator realized in R^n).
-
-        Computed once and cached; every call returns the same object.
-        """
-        if self._complement is None:
-            n = self.ambient_dim
-            if self.dim == 0:
-                basis = np.eye(n)  # what the SVD of an n-by-0 matrix returns as U
-            elif self.dim == n:
-                basis = np.zeros((n, 0))
-            else:
-                basis = _fix_signs(_svd(self.basis)[0][:, self.dim:])
-            object.__setattr__(self, "_complement", Subspace._of(n, basis))
-        return self._complement
+        """The orthogonal complement (the annihilator realized in R^n)."""
+        basis = _fix_signs(_svd(self.basis)[0][:, self.dim:])
+        return Subspace._of(self.ambient_dim, basis)
 
     def contains(self, v, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Membership test: the residual off the subspace is small."""
@@ -306,12 +277,6 @@ def intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspac
     to a single rank decision on stacked complements.
     """
     _check_same_ambient(u, v)
-    if (u.dim == 0 or v.dim == 0) and tol.rank_rel_tol < 0.5:
-        # the complement of the zero operand is R^n, so the stacked
-        # complements [I | B] (B orthonormal) have singular values 1 and
-        # sqrt(2): every cutoff below 1/sqrt(2) keeps rank n, and the
-        # general path returns the zero subspace
-        return Subspace.zero(u.ambient_dim)
     return minkowski_sum(u.annihilator(), v.annihilator(), tol).annihilator()
 
 
@@ -328,9 +293,7 @@ def image(a, u: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         raise ValueError(
             f"matrix with {a.shape[1]} columns applied to subspace of R^{u.ambient_dim}"
         )
-    if u.dim == 0:
-        return Subspace.zero(a.shape[0])
-    scale = float(np.linalg.norm(a, 2)) if a.size else 0.0
+    scale = float(np.linalg.norm(a, 2)) if a.size and u.dim else 0.0
     return column_space(a @ u.basis, tol, scale)
 
 

@@ -142,6 +142,13 @@ class TestTypecheck:
             typecheck(program)
 
 
+def _rescaled(raises):
+    """Known wrong answer of the generator's column rescaling: the x1 row
+    underflows to 0 beside a column scaled for 1e400."""
+    return pytest.mark.xfail(strict=True, raises=raises,
+                             reason="column rescaling underflows the x1 row")
+
+
 class TestInterpret:
     def test_exact_equality_posterior(self):
         report = interpret(parse("x ~ normal(0,1); y ~ normal(0,1); observe x == y; return x"))
@@ -249,6 +256,41 @@ class TestInterpret:
     def test_large_shears_keep_independent_nondeterminism(self, shear):
         report = interpret(parse(f"x1 ~ uniform(); x2 ~ uniform(); {shear}; return x1, x2"))
         assert report.posterior.nondet.dim == 2
+
+    # z and z2 cancel exactly, leaving x2: a sum of the generator's terms
+    # aligned at the largest column exponent would put x2 2^-1329 below z
+    # and lose it before the cancellation
+    _CANCELLING = ("x1 ~ uniform(); x2 ~ uniform(); w = 1e200*x1; z = 1e200*w; "
+                   "z2 = 1e200*w; a = z - z2 + x2; ")
+
+    def test_cross_column_cancellation_keeps_the_small_column(self):
+        report = interpret(parse(self._CANCELLING + "return a"))
+        assert report.posterior.equals(E.uniform(1))
+
+    def test_cross_column_cancellation_then_observe(self):
+        report = interpret(parse(self._CANCELLING + "observe a == 1; return x2"))
+        assert report.posterior.equals(E.dirac([1.0]))
+
+    # x1 stays completely unknown, or pinned at 1 when observed, however
+    # steep the definitions after it; the generator's power-of-two column
+    # rescaling after z underflows the x1 row to 0 instead
+    _STEEP = "x1 ~ uniform(); y = 1e200*x1; z = 1e200*y; "
+
+    @_rescaled(AssertionError)  # the point mass at 0
+    def test_steep_chain_keeps_the_unknown(self):
+        report = interpret(parse(self._STEEP + "return x1"))
+        assert report.posterior.equals(E.uniform(1))
+
+    @_rescaled(InfeasibleObservation)
+    def test_steep_chain_observed(self):
+        report = interpret(parse(self._STEEP + "observe x1 == 1; return x1"))
+        assert report.posterior.equals(E.dirac([1.0]))
+
+    @_rescaled(InfeasibleObservation)
+    def test_steep_chain_observed_overflows(self):
+        # z = 1e400 once x1 is pinned at 1
+        with pytest.raises(NonFiniteInput):
+            interpret(parse(self._STEEP + "observe x1 == 1; return z"))
 
     _OVERFLOWING_ROW = "y = 1e308*x + 1e308*a + 1e308*b + 1e308*c"
 

@@ -105,6 +105,17 @@ class TestNormalFormAndEquality:
             outside = off.basis @ (0.5 + rng.random(off.dim))
             assert not E.translate(psi, outside).equals(psi)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_translated_mean_stays_orthogonal_to_nondet(self, seed):
+        rng = np.random.default_rng(7050 + seed)
+        psi = random_extended(rng, int(rng.integers(1, 6)))
+        v = 10.0 * rng.standard_normal(psi.dim)
+        out = E.translate(psi, v)
+        gap = psi.nondet.basis.T @ out.mean
+        assert np.abs(gap).max(initial=0.0) <= 1e-13 * (1.0 + np.linalg.norm(v))
+        assert out.nondet is psi.nondet and np.array_equal(out.cov, psi.cov)
+        assert out.equals(ExtendedGaussian(psi.nondet, psi.mean + v, psi.cov))
+
     def test_translate_rejects_a_shift_of_another_shape(self):
         psi = gaussian([0.0, 1.0, 2.0], np.eye(3))
         for shift in ([5.0], [1.0, 2.0], np.ones((3, 1)), 5.0):
@@ -931,7 +942,8 @@ def _assert_psd_to_rounding(cov, what):
 class TestCheckWhereCreated:
     """A covariance is checked for PSD where it enters a public constructor,
     and nowhere else: ``conditional`` and ``observe`` condition a factor
-    and subtract nothing."""
+    and subtract nothing, and ``pushforward``, ``marginal`` and
+    ``translate`` build their results through the engine."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_psd_normalize_calls(self, seed, monkeypatch):
@@ -948,6 +960,9 @@ class TestCheckWhereCreated:
                 (lambda: ExtendedGaussianMap(phi.nondet, phi.lin, phi.mean, phi.cov), 1),
                 (lambda: E.conditional(phi, nx), 0),
                 (lambda: observe(psi, obs, value), 0),
+                (lambda: E.pushforward(obs, psi), 0),
+                (lambda: E.translate(psi, obs[0]), 0),
+                (lambda: E.marginal(psi, range(psi.dim)[::-1]), 0),
             ):
                 counts.clear()
                 run()
@@ -956,14 +971,19 @@ class TestCheckWhereCreated:
     def test_conditional_builds_no_gaussian_map_or_public_constructor(self, monkeypatch):
         rng = np.random.default_rng(8800)
         cases = [_conditional_case(rng, _NONDET_SHAPES[i % 4]) for i in range(40)]
+        joints = [E.compose(phi, uniform(phi.dom_dim)) for phi, _ in cases]
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError("conditional called a checking constructor")
 
         monkeypatch.setattr(GaussianMap, "__init__", forbidden)
         monkeypatch.setattr(ExtendedGaussianMap, "__init__", forbidden)
-        for phi, nx in cases:
+        for (phi, nx), joint in zip(cases, joints):
             E.conditional(phi, nx)
+            # and the X-marginal, once as a marginal and once as an image
+            E.marginal(joint, range(nx))
+            E.pushforward(np.eye(nx, joint.dim), joint)
+            E.translate(joint, np.ones(joint.dim))
 
     def test_observe_builds_no_gaussian_map_or_public_constructor(self, monkeypatch):
         rng = np.random.default_rng(8850)
@@ -980,6 +1000,9 @@ class TestCheckWhereCreated:
         monkeypatch.setattr(ExtendedGaussianMap, "__init__", forbidden)
         for psi, obs, value in cases:
             observe(psi, obs, value)
+            E.pushforward(obs, psi)
+            E.translate(psi, obs[0])
+            E.marginal(psi, range(psi.dim)[::-1])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_results_stay_psd_to_rounding(self, seed):

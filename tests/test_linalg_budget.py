@@ -1,8 +1,9 @@
 """Guard on the number of LAPACK factorizations a program or an observation costs.
 
 The count for a fixed program is deterministic, so it is pinned: a change
-that brings back per-call factorizations (for example an SVD on every
-``Subspace.annihilator`` call) fails here before any timing would show it.
+that brings back per-call factorizations (for example an ``image`` and an
+``annihilator`` SVD for every definition) fails here before any timing
+would show it.
 """
 
 import numpy as np

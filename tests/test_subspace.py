@@ -366,7 +366,10 @@ def _same_bits(a, b):
 
 
 class TestFastPaths:
-    """Every shortcut agrees bit for bit with the general path it replaces."""
+    """The vectorised sign fix agrees bit for bit with a loop and the
+    orthonormality test with ``np.allclose``; the complement agrees bit for
+    bit with ``np.linalg.svd``, and the image and intersection of a zero
+    subspace with their construction from sums and complements."""
 
     @staticmethod
     def _sign_inputs():
@@ -448,12 +451,11 @@ class TestFastPaths:
             want = Subspace(n, np.linalg.svd(u.basis, full_matrices=True)[0][:, u.dim:])
             got = u.annihilator()
             assert _same_bits(got.basis, want.basis)
-            assert u.annihilator() is got
 
     def test_immutable(self):
         u = Subspace.span([[1.0, 2.0]])
         u.annihilator()
-        for name in ("basis", "ambient_dim", "_complement"):
+        for name in ("basis", "ambient_dim"):
             with pytest.raises(AttributeError):
                 setattr(u, name, None)
         assert not u.basis.flags.writeable

@@ -273,6 +273,21 @@ class TestPublicBoundary:
                 pytest.raises(NonFiniteInput, match=f"^{name} has a NaN or infinite entry$"):
             E.compose(f, g)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: E.pushforward([[1e200]], E.gaussian([1e200], [[1.0]])), "mean"),
+        (lambda: E.pushforward([[1e200]], E.gaussian([0.0], [[1e200]])), "cov"),
+        (lambda: E.pushforward([[1e200, 1.0]], ExtendedGaussian(
+            Subspace.span([[0.0, 1.0]]), [1e200, 0.0], np.eye(2))), "mean"),
+        (lambda: E.translate(E.gaussian([1e308], [[1.0]]), [1e308]), "mean"),
+        (lambda: E.translate(E.gaussian([0.0], [[1.0]]), [np.nan]), "mean"),
+        (lambda: E.translate(E.uniform(1), [np.inf]), "mean"),
+    ])
+    def test_derived_overflow_rejected_by_name(self, build, name):
+        # pushforward and translate build their results unchecked too
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(NonFiniteInput, match=f"^{name} has a NaN or infinite entry$"):
+            build()
+
     def test_observe_overflow_on_the_nondeterminism_rejected_by_name(self):
         # mean and cov are zero along D, but obs maps D's unit vector past
         # the largest float
