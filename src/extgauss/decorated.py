@@ -21,11 +21,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .gauss import _block_diag, _ro, psd_normalize
+from .gauss import _block_diag, psd_normalize
 from .subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _Immutable,
     image,
     minkowski_sum,
     product,
@@ -211,7 +212,7 @@ def generic_oplus(dec: Decoration, s, t):
     return dec.add(dec.push(ix, s), dec.push(iy, t))
 
 
-class DecoratedMap:
+class DecoratedMap(_Immutable):
     """A linear map together with a noise value on its codomain."""
 
     __slots__ = ("dec", "dom_dim", "cod_dim", "lin", "noise")
@@ -222,14 +223,7 @@ class DecoratedMap:
             raise ValueError("linear part must be a matrix")
         if dec.dim(noise) != lin.shape[0]:
             raise ValueError("noise does not live on the codomain")
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "dom_dim", lin.shape[1])
-        object.__setattr__(self, "cod_dim", lin.shape[0])
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "noise", noise)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DecoratedMap is immutable")
+        self._set(dec=dec, dom_dim=lin.shape[1], cod_dim=lin.shape[0], lin=lin, noise=noise)
 
     def equals(self, other: "DecoratedMap", tol: Tolerance = DEFAULT_TOL) -> bool:
         return (
@@ -267,7 +261,7 @@ def lin_identity(dec: Decoration, n: int) -> DecoratedMap:
     return DecoratedMap(dec, np.eye(n), dec.zero(n))
 
 
-class DecoratedRelation:
+class DecoratedRelation(_Immutable):
     """A noise-annotated map into a quotient, in normal form.
 
     Data: a nondeterminism subspace D of the codomain, a linear part with
@@ -292,12 +286,8 @@ class DecoratedRelation:
         self._fill(dec, nondet, p @ lin, dec.push(p, noise))
 
     def _fill(self, dec, nondet, lin, noise):
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "dom_dim", lin.shape[1])
-        object.__setattr__(self, "cod_dim", lin.shape[0])
-        object.__setattr__(self, "nondet", nondet)
-        object.__setattr__(self, "lin", _ro(lin))
-        object.__setattr__(self, "noise", _frozen(noise))
+        self._set(dec=dec, dom_dim=lin.shape[1], cod_dim=lin.shape[0], nondet=nondet,
+                  lin=lin, noise=noise)
 
     @classmethod
     def _result_class(cls, dom_dim: int) -> type:
@@ -310,21 +300,11 @@ class DecoratedRelation:
         out._fill(dec, nondet, lin, noise)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __repr__(self):
         return (
             f"{type(self).__name__}({self.dom_dim} -> {self.cod_dim}, "
             f"{type(self.dec).__name__}, nondet dim {self.nondet.dim})"
         )
-
-
-def _frozen(noise):
-    """Read-only copies of the arrays in a noise value, through pairs."""
-    if isinstance(noise, tuple):
-        return tuple(map(_frozen, noise))
-    return _ro(noise) if isinstance(noise, np.ndarray) else noise
 
 
 def normalize(dec: Decoration, nondet: Subspace, lin, noise) -> DecoratedRelation:

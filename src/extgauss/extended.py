@@ -24,12 +24,13 @@ import numpy as np
 
 from .decorated import (CovDec, DecoratedRelation, PairDec, PointDec, congruent,
                         rel_compose, rel_tensor)
-from .gauss import AffineSupportMap, GaussianMap, _ro, psd_normalize
+from .gauss import AffineSupportMap, GaussianMap, psd_normalize
 from .subspace import (
     DEFAULT_TOL,
     NonFiniteInput,
     Subspace,
     Tolerance,
+    _Immutable,
     _check_finite,
     _fix_signs,
     _svd,
@@ -351,9 +352,8 @@ def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> Exte
     return observe(psi, diff, np.zeros(k), tol)
 
 
-def _set_form(rep, name: str, space: Subspace, form, tol: Tolerance, ambient: str):
-    """Store ``space`` as ``rep.<name>`` and a PSD form supported on it,
-    projected onto it and read-only, as ``rep.form``."""
+def _form_on(space: Subspace, form, tol: Tolerance, ambient: str) -> np.ndarray:
+    """A PSD form supported on ``space``, checked and projected onto it."""
     form = np.asarray(form, dtype=float)
     _check_finite(form=form)
     form = psd_normalize(form, tol)
@@ -362,11 +362,10 @@ def _set_form(rep, name: str, space: Subspace, form, tol: Tolerance, ambient: st
     p = space.projector()
     if form.size and float(np.max(np.abs(form - p @ form @ p))) > tol.eq_abs_tol:
         raise ValueError("form is not supported on the given subspace")
-    object.__setattr__(rep, name, space)
-    object.__setattr__(rep, "form", _ro(p @ form @ p if form.size else form))
+    return p @ form @ p if form.size else form
 
 
-class PrecisionRep:
+class PrecisionRep(_Immutable):
     """Density-side description: a support subspace and a form on it.
 
     The form's kernel inside the support is exactly the nondeterminism of
@@ -376,26 +375,22 @@ class PrecisionRep:
     __slots__ = ("support", "form")
 
     def __init__(self, support: Subspace, form, tol: Tolerance = DEFAULT_TOL):
-        _set_form(self, "support", support, form, tol, "the support's ambient space")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrecisionRep is immutable")
+        form = _form_on(support, form, tol, "the support's ambient space")
+        self._set(support=support, form=form)
 
     def __repr__(self):
         return f"PrecisionRep(ambient {self.support.ambient_dim}, support dim {self.support.dim})"
 
 
-class CovarianceRep:
+class CovarianceRep(_Immutable):
     """Pushforward-side description: a covariance form on the subspace of
     directions that carry information (the complement of nondeterminism)."""
 
     __slots__ = ("dual_support", "form")
 
     def __init__(self, dual_support: Subspace, form, tol: Tolerance = DEFAULT_TOL):
-        _set_form(self, "dual_support", dual_support, form, tol, "the ambient space")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CovarianceRep is immutable")
+        form = _form_on(dual_support, form, tol, "the ambient space")
+        self._set(dual_support=dual_support, form=form)
 
     def __repr__(self):
         return (

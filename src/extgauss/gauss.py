@@ -16,6 +16,7 @@ from .subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _Immutable,
     _check_finite,
     column_space,
     image,
@@ -66,13 +67,7 @@ def psd_normalize(cov, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.n
     return cov
 
 
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-class GaussianMap:
+class GaussianMap(_Immutable):
     """``x -> lin @ x + N(mean, cov)`` from R^n to R^m.
 
     Shapes are inferred from ``lin`` (m-by-n).  The covariance is
@@ -95,17 +90,7 @@ class GaussianMap:
         cov = psd_normalize(cov, tol)
         if cov.shape != (m, m):
             raise ValueError(f"cov of shape {cov.shape}, expected ({m}, {m})")
-        for name, value in (
-            ("dom_dim", n),
-            ("cod_dim", m),
-            ("lin", _ro(lin)),
-            ("mean", _ro(mean)),
-            ("cov", _ro(cov)),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianMap is immutable")
+        self._set(dom_dim=n, cod_dim=m, lin=lin, mean=mean, cov=cov)
 
     def equals(self, other: "GaussianMap", tol: Tolerance = DEFAULT_TOL) -> bool:
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
@@ -224,7 +209,7 @@ def conditional(f: GaussianMap, nx: int, tol: Tolerance = DEFAULT_TOL) -> Gaussi
     return GaussianMap(np.hstack([gain, a_y - gain @ a_x]), mu_y - gain @ mu_x, schur, tol)
 
 
-class AffineSupportMap:
+class AffineSupportMap(_Immutable):
     """``x -> lin @ x + offset + noise_space``: a map into affine subsets.
 
     This is what remains of a Gaussian map when the noise is collapsed to
@@ -242,14 +227,7 @@ class AffineSupportMap:
             raise ValueError(f"offset of shape {offset.shape}, expected ({m},)")
         if noise_space.ambient_dim != m:
             raise ValueError("noise_space ambient does not match codomain")
-        object.__setattr__(self, "dom_dim", n)
-        object.__setattr__(self, "cod_dim", m)
-        object.__setattr__(self, "lin", _ro(lin))
-        object.__setattr__(self, "offset", _ro(offset))
-        object.__setattr__(self, "noise_space", noise_space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSupportMap is immutable")
+        self._set(dom_dim=n, cod_dim=m, lin=lin, offset=offset, noise_space=noise_space)
 
     def equals(self, other: "AffineSupportMap", tol: Tolerance = DEFAULT_TOL) -> bool:
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):

@@ -18,6 +18,7 @@ from .subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _Immutable,
     _fix_signs,
     _svd,
     column_space,
@@ -30,7 +31,7 @@ class NotLeftTotal(ValueError):
     """The relation leaves some input unrelated to any output."""
 
 
-class LinearRelation:
+class LinearRelation(_Immutable):
     """A left-total linear relation, stored as the subspace of its graph."""
 
     __slots__ = ("dom_dim", "cod_dim", "graph")
@@ -45,12 +46,7 @@ class LinearRelation:
         px = np.eye(dom_dim + cod_dim)[:dom_dim]
         if image(px, graph, tol).dim != dom_dim:
             raise NotLeftTotal("graph does not project onto the whole domain")
-        object.__setattr__(self, "dom_dim", dom_dim)
-        object.__setattr__(self, "cod_dim", cod_dim)
-        object.__setattr__(self, "graph", graph)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearRelation is immutable")
+        self._set(dom_dim=dom_dim, cod_dim=cod_dim, graph=graph)
 
     @classmethod
     def from_matrix(cls, a, tol: Tolerance = DEFAULT_TOL) -> "LinearRelation":
@@ -98,7 +94,7 @@ class LinearRelation:
         return cls(data["dom"], data["cod"], graph, tol)
 
 
-class QuotientForm:
+class QuotientForm(_Immutable):
     """A relation presented as a map into a quotient: x -> f(x) + D.
 
     ``nondet`` is the output-noise subspace D = R(0); ``lin`` is a matrix
@@ -113,15 +109,7 @@ class QuotientForm:
         m, n = lin.shape
         if nondet.ambient_dim != m:
             raise ValueError("noise subspace must live in the codomain")
-        lin = nondet.complement_projector() @ lin
-        lin.setflags(write=False)
-        object.__setattr__(self, "dom_dim", n)
-        object.__setattr__(self, "cod_dim", m)
-        object.__setattr__(self, "nondet", nondet)
-        object.__setattr__(self, "lin", lin)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientForm is immutable")
+        self._set(dom_dim=n, cod_dim=m, nondet=nondet, lin=nondet.complement_projector() @ lin)
 
     def equals(self, other: "QuotientForm", tol: Tolerance = DEFAULT_TOL) -> bool:
         return (
@@ -215,7 +203,7 @@ def graph_decompose(d: Subspace, nx: int, tol: Tolerance = DEFAULT_TOL
     return (h, *(Subspace._of(len(b), _fix_signs(b)) for b in (eta, u[:, :r], u[:, r:])))
 
 
-class AffineRelation:
+class AffineRelation(_Immutable):
     """A left-total affine relation: base point plus a linear direction space.
 
     The base point is canonicalized to the minimum-norm point of the
@@ -236,14 +224,7 @@ class AffineRelation:
         if image(px, direction, tol).dim != dom_dim:
             raise NotLeftTotal("direction does not project onto the whole domain")
         base = base - direction.basis @ (direction.basis.T @ base)
-        base.setflags(write=False)
-        object.__setattr__(self, "dom_dim", dom_dim)
-        object.__setattr__(self, "cod_dim", cod_dim)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineRelation is immutable")
+        self._set(dom_dim=dom_dim, cod_dim=cod_dim, base=base, direction=direction)
 
     @classmethod
     def from_affine_map(cls, a, b, tol: Tolerance = DEFAULT_TOL) -> "AffineRelation":
@@ -270,7 +251,7 @@ class AffineRelation:
         return f"AffineRelation({self.dom_dim} -> {self.cod_dim})"
 
 
-class AffineQuotientForm:
+class AffineQuotientForm(_Immutable):
     """Affine relation as x -> lin @ x + offset + D, offset orthogonal to D."""
 
     __slots__ = ("dom_dim", "cod_dim", "nondet", "lin", "offset")
@@ -280,16 +261,8 @@ class AffineQuotientForm:
         offset = np.asarray(offset, dtype=float).reshape(-1)
         if offset.shape != (q.cod_dim,):
             raise ValueError("offset must live in the codomain")
-        offset = nondet.complement_projector() @ offset
-        offset.setflags(write=False)
-        object.__setattr__(self, "dom_dim", q.dom_dim)
-        object.__setattr__(self, "cod_dim", q.cod_dim)
-        object.__setattr__(self, "nondet", q.nondet)
-        object.__setattr__(self, "lin", q.lin)
-        object.__setattr__(self, "offset", offset)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineQuotientForm is immutable")
+        self._set(dom_dim=q.dom_dim, cod_dim=q.cod_dim, nondet=q.nondet, lin=q.lin,
+                  offset=nondet.complement_projector() @ offset)
 
     def equals(self, other: "AffineQuotientForm", tol: Tolerance = DEFAULT_TOL) -> bool:
         return (

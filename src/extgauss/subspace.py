@@ -8,8 +8,12 @@ which are invariant under change of basis.  Dual-space constructions
 inner product; this fixes one concrete matrix realization of statements
 that are basis-free in the abstract.
 
-Every operation is a pure function and a :class:`Subspace` cannot be
-changed after construction, so values are safe to share between threads.
+Every operation is a pure function.  The package's values (subspaces,
+Gaussian and affine maps, linear and decorated relations, extended
+Gaussians) share one private base here, whose ``_set`` is the only way
+to store a field and stores each array as a read-only copy, so no value
+can change after construction and values are safe to share between
+threads.
 
 A basis is checked where it enters: ``Subspace(n, basis, tol)`` tests its
 shape, finiteness and orthonormality, and ``Subspace.span``,
@@ -121,7 +125,31 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> 
     return _fix_signs(u[:, :rank])
 
 
-class Subspace:
+class _Immutable:
+    """Base of the package's values: :meth:`_set` is the only way to store a
+    field, and it stores each array, also inside a tuple, as a read-only
+    float copy, so no caller holds a writable alias of a field."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, _Immutable._read_only(value))
+
+    @staticmethod
+    def _read_only(value):
+        if isinstance(value, tuple):
+            return tuple(map(_Immutable._read_only, value))
+        if isinstance(value, np.ndarray):
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Subspace(_Immutable):
     """A vector subspace of R^n, held as an n-by-k orthonormal basis.
 
     ``k`` may be 0 (the zero subspace) and ``n`` may be 0 (the zero
@@ -145,23 +173,15 @@ class Subspace:
         _check_finite(basis=basis)
         if not _is_orthonormal(basis, tol.eq_abs_tol):
             raise ValueError("basis columns are not orthonormal")
-        self._store(ambient_dim, _fix_signs(basis))  # a new array that no caller holds
+        self._set(ambient_dim=ambient_dim, basis=_fix_signs(basis))
 
     @classmethod
     def _of(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
         """Unchecked: ``basis`` is orthonormal, sign-canonical (``_fix_signs``
-        leaves it unchanged), C-ordered, and held by no caller."""
+        leaves it unchanged) and C-ordered; the subspace keeps a copy."""
         self = object.__new__(cls)
-        self._store(ambient_dim, basis)
+        self._set(ambient_dim=ambient_dim, basis=basis)
         return self
-
-    def _store(self, ambient_dim: int, basis: np.ndarray):
-        basis.setflags(write=False)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def span(
@@ -231,7 +251,7 @@ class Subspace:
 
     def equals(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         if not isinstance(other, Subspace):
-            return NotImplemented
+            return False
         if self.ambient_dim != other.ambient_dim:
             return False
         diff = self.projector() - other.projector()
@@ -240,7 +260,7 @@ class Subspace:
         return float(np.max(np.abs(diff))) <= tol.eq_abs_tol
 
     def __eq__(self, other):
-        return self.equals(other)
+        return self.equals(other) if isinstance(other, Subspace) else NotImplemented
 
     __hash__ = None
 

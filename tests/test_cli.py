@@ -41,6 +41,15 @@ class TestRun:
         assert "variables: x" in out
         assert "nondeterministic directions: (none)" in out
 
+    def test_text_output_lists_the_nondeterministic_directions(self, tmp_path, capsys):
+        path = tmp_path / "flat.gx"
+        path.write_text("x ~ uniform()\ny = 2*x\nreturn x, y\n")
+        assert main(["run", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        prefix = "nondeterministic directions: "
+        [basis] = [json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)]
+        np.testing.assert_allclose(basis, [[1 / np.sqrt(5), 2 / np.sqrt(5)]], atol=1e-12)
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.gx"
         path.write_text(BROKEN)

@@ -989,6 +989,15 @@ class TestPretty:
         # and pretty itself is then stable
         assert pretty(parse(pretty(program))) == pretty(program)
 
+    def test_leading_negative_term_goes_through_zero(self):
+        # the grammar has no unary minus: a hand-built expression that starts
+        # with a negative term renders as "0 - ...", one zero term longer
+        expr = Expr((Term(-2.0, "x"), Term(1.5, None)))
+        program = Program((Sample("x", UniformDist()), Assign("y", expr)), (Ident("y"),))
+        text = pretty(program)
+        assert text == "x ~ uniform()\ny = 0 - 2*x + 1.5\nreturn y\n"
+        assert parse(text).statements[1].expr.terms == (Term(0.0, None),) + expr.terms
+
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 2))
     def test_round_trip_on_random_programs(self, seed, conflicts, overflows):

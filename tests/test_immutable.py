@@ -1,0 +1,78 @@
+"""The package's values are immutable, and so are the arrays they hold.
+
+Every value class stores its fields through one private base: assigning
+to any field raises ``AttributeError("<ClassName> is immutable")``, and
+each array a value holds, also inside a noise pair, is a read-only copy,
+so writing into an array the caller passed in changes no value.
+"""
+
+import numpy as np
+import pytest
+
+from extgauss import extended as E
+from extgauss import gauss, linrel
+from extgauss.decorated import CovDec, DecoratedMap, DecoratedRelation, PairDec, PointDec
+from extgauss.subspace import Subspace
+
+_U = Subspace.span([[1.0, 1.0]])
+_PAIR = PairDec(PointDec(), CovDec())
+_PSI = E.ExtendedGaussian(_U, [1.0, 2.0], np.eye(2))
+
+# one value of each public value class
+VALUES = [
+    _U,
+    gauss.GaussianMap(np.eye(2), [1.0, 2.0], np.eye(2)),
+    gauss.AffineSupportMap(np.eye(2), [1.0, 2.0], _U),
+    linrel.LinearRelation.from_matrix([[1.0, 2.0]]),
+    linrel.QuotientForm(_U, np.eye(2)),
+    linrel.AffineRelation.from_affine_map([[1.0, 2.0]], [3.0]),
+    linrel.AffineQuotientForm(_U, np.eye(2), [1.0, 2.0]),
+    DecoratedMap(_PAIR, np.eye(2), (np.ones(2), np.eye(2))),
+    DecoratedRelation(_PAIR, _U, np.eye(2), (np.ones(2), np.eye(2))),
+    E.ExtendedGaussianMap(_U, np.eye(2), [1.0, 2.0], np.eye(2)),
+    _PSI,
+    E.to_precision(_PSI),
+    E.covariance_rep(_PSI),
+]
+
+
+def _arrays(field):
+    if isinstance(field, tuple):
+        for item in field:
+            yield from _arrays(item)
+    elif isinstance(field, np.ndarray):
+        yield field
+    elif isinstance(field, Subspace):
+        yield field.basis
+
+
+def test_every_value_class_is_covered():
+    assert len({type(v) for v in VALUES}) == len(VALUES) == 13
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned_and_arrays_are_read_only(value):
+    name = type(value).__name__
+    slots = [s for cls in type(value).__mro__ for s in vars(cls).get("__slots__", ())]
+    assert slots
+    for slot in slots + ["not_a_field"]:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, None)
+    arrays = [a for slot in slots for a in _arrays(getattr(value, slot))]
+    assert arrays
+    for array in arrays:
+        assert array.dtype == np.float64 and not array.flags.writeable
+
+
+@pytest.mark.parametrize("dec, noise", [
+    (PointDec(), np.array([1.0, 2.0])),
+    (CovDec(), np.eye(2)),
+], ids=["PointDec", "CovDec"])
+def test_decorated_map_keeps_its_own_arrays(dec, noise):
+    lin = np.eye(2)
+    m = DecoratedMap(dec, lin, noise)
+    want_lin, want_noise = lin.copy(), noise.copy()
+    lin[0, 0] = 5.0
+    noise[0] = 7.0
+    assert np.array_equal(m.lin, want_lin) and np.array_equal(m.noise, want_noise)
+    assert not m.lin.flags.writeable and not m.noise.flags.writeable

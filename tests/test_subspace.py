@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ class TestProjectors:
             oblique_projector(Subspace.span([[1, 0]]), Subspace.span([[2, 0]]))
         with pytest.raises(NotComplementary):
             oblique_projector(Subspace.zero(2), Subspace.span([[1, 0]]))
+
+    def test_equals_a_non_subspace_is_false(self):
+        # NotImplemented would read as true in an `if`; `==` still returns
+        # it, so Python falls back to identity and `u == "x"` is False
+        u = Subspace.span([[1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert u.equals("x") is False
+            assert u.__eq__("x") is NotImplemented
+            assert (u == "x") is False and (u != "x") is True
 
 
 class TestPseudoinverseMembership:
