@@ -240,7 +240,7 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
         raise ValueError(f"split {nx} out of range for R^{m}")
     mean, f, g, mag = _factor(phi, np.eye(m), tol)
     data = np.hstack([np.zeros((m, nx)), phi.lin, mean[:, None]])
-    anchor = np.finfo(float).eps * m * float(np.abs(phi.cov).max(initial=0.0)) / tol.rank_rel_tol
+    anchor = math.sqrt(np.finfo(float).eps * m * np.abs(phi.cov).max(initial=0.0) / tol.rank_rel_tol)
     eta, mean, _, cov, _ = _conditional_rows(data, f, g, nx, np.eye(nx, data.shape[1]), mag, tol, anchor)
     return ExtendedGaussianMap._from_normal(_DEC, eta, mean[:, :-1], (mean[:, -1], cov))
 
@@ -278,15 +278,13 @@ def _factor(phi: ExtendedGaussianMap, a, tol: Tolerance):
 
 
 def _condition_rows(mean, f, g, k: int, value, mag, tol: Tolerance, scale: float):
-    """:func:`_conditional_rows` at ``value`` with anchor ``max(||f||_2^2,
-    scale)``: the posterior and its factor, after checks of the joint's
-    diagonal (``cov``), the anchor, the support and the posterior."""
+    """:func:`_conditional_rows` at ``value``, anchored at the root of the
+    largest row variance or ``scale``: the posterior and its factor, after
+    checks of the joint's diagonal (``cov``), the support and the posterior."""
     with np.errstate(over="ignore", invalid="ignore"):  # cov: the covariance's diagonal
-        _check_finite(mean=mean, cov=np.square(f).sum(axis=1), nondet=g)
-    with np.errstate(over="ignore"):  # a float's ** raises past 1e154
-        anchor = max(float(np.square(np.linalg.norm(f, 2))) if k and f.size else 0.0, scale)
-    if not math.isfinite(anchor):  # finite entries such as 1e308 can overflow it
-        raise NonFiniteInput("joint covariance has an infinite norm")
+        var = np.square(f).sum(axis=1)
+    _check_finite(mean=mean, cov=var, nondet=g, scale=scale)
+    anchor = math.sqrt(max(float(var.max(initial=0.0)), scale))
     eta, mean, fac, cov, dist = _conditional_rows(mean, f, g, k, value, mag, tol, anchor)
     if dist > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
         raise InfeasibleObservation("observed value lies outside the support of the observed quantity")
@@ -303,18 +301,18 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     magnitude before cancellation ``mag`` into [0.5, 1).  One SVD of the
     observed rows, cut at ``rank_rel_tol``, gives ``h = D_r g_r V_q S_q^-1
     U_q^T D_o^-1``, ``perp = col(D_o^-1 U_perp)`` and, cut apart, ``eta =
-    col(D_r col(g_r V_perp))`` at ``||g_r||_2``.  One SVD of ``A = perp^T
-    f_o``, dominant column first, gives the rest: rank s counts ``sigma_i^2
-    > rank_rel_tol * max(sigma_1^2, anchor)`` and, with ``b = perp^T (value
-    - mean_o)`` and ``K = f_r - h f_o``, the mean is ``mean_r + h (value -
-    mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``, extended by 0 off U_s."""
+    col(D_r col(g_r V_perp))`` at g_r's largest row norm.  One SVD of ``A =
+    perp^T f_o``, dominant column first, gives the rest: rank s counts
+    ``sigma_i > sqrt(rank_rel_tol) * max(sigma_1, anchor)`` and, with ``b =
+    perp^T (value - mean_o)`` and ``K = f_r - h f_o``, the mean is ``mean_r
+    + h (value - mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``, extended by 0
+    off U_s."""
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
     (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
     u, s, vt = _svd(g_o)
     q = int(np.sum(s > tol.rank_rel_tol))
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
-    eta = column_space(g_r @ vt[q:].T, tol,  # no norm when that has no column
-                       float(np.linalg.norm(g_r, 2)) if g_r.size and q < len(vt) else 0.0)
+    eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, axis=1).max(initial=0.0)))
     eta, perp = _scaled_basis(eta.basis, e_r), _scaled_basis(u[:, q:], -e_o)
     (f_o, f_r), resid = np.split(f, [k]), value - mean[:k]
     a, b = perp.T @ f_o, perp.T @ resid
@@ -322,8 +320,7 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
         order = np.argsort(-np.linalg.norm(a, axis=0), kind="stable")
     a, f_o, f_r = a[:, order], f_o[:, order], f_r[:, order]
     ua, sa, vta = _svd(a)
-    sq = np.square(sa)
-    rank = int(np.sum(sq > tol.rank_rel_tol * max(float(sq.max(initial=0.0)), anchor)))
+    rank = int(np.sum(sa > math.sqrt(tol.rank_rel_tol) * max(float(sa.max(initial=0.0)), anchor)))
     us, coef = ua[:, :rank], ua[:, :rank].T @ b
     r = len(e_r)  # off eta with no SVD of its complement; exactly 0 if eta is everything
     p = np.eye(r) - eta @ eta.T if eta.shape[1] < r else np.zeros((r, r))

@@ -126,9 +126,9 @@ def orthonormal_columns(m, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> 
 
 
 class _Immutable:
-    """Base of the package's values: :meth:`_set` is the only way to store a
-    field, and it stores each array, also inside a tuple, as a read-only
-    float copy, so no caller holds a writable alias of a field."""
+    """Base of the package's values: :meth:`_set` stores every field, each
+    array or list (also inside a tuple) as a read-only float copy, so no
+    caller holds a writable alias; no field can be assigned or deleted."""
 
     __slots__ = ()
 
@@ -140,13 +140,15 @@ class _Immutable:
     def _read_only(value):
         if isinstance(value, tuple):
             return tuple(map(_Immutable._read_only, value))
-        if isinstance(value, np.ndarray):
+        if isinstance(value, (np.ndarray, list)):
             value = np.array(value, dtype=float)
             value.setflags(write=False)
         return value
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # ``del value.name`` passes the name only
 
 
 class Subspace(_Immutable):

@@ -126,6 +126,17 @@ class TestRun:
             assert main(["run", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["cov"] == [[1e308]]
 
+    def test_observed_large_variance_is_answered(self, tmp_path, capsys):
+        # the rank cut is anchored at the largest variance, 1e308, which is
+        # finite although the joint of (x, x) has norm 2e308
+        path = tmp_path / "large.gx"
+        path.write_text("x ~ normal(0, 1e308); observe x == 1; return x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["mean"] == [1.0] and data["cov"] == [[0.0]]
+
     def test_large_observation_coefficient_keeps_the_nondeterminism(self, tmp_path, capsys):
         # a rank cut relative to the norm of [obs; I] dropped x2's direction
         path = tmp_path / "steep.gx"
@@ -212,12 +223,6 @@ class TestRun:
             (
                 "x ~ normal(0, 1e308); y = x + x; return y",
                 ":1:23: cov has a NaN or infinite entry",
-            ),
-            (
-                # the entries are finite, but not the norm of the joint covariance
-                # of (x, x), which scales the support's rank decision
-                "x ~ normal(0, 1e308); observe x == 1; return x",
-                ":1:23: joint covariance has an infinite norm",
             ),
         ],
     )

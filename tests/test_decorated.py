@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -431,3 +433,47 @@ class TestMarkovStructure:
         assert congruent(
             rel_compose(h, rel_compose(g, f)), rel_compose(rel_compose(h, g), f)
         )
+
+
+_P2 = DecoratedMap(PointDec(), np.eye(2), np.zeros(2))
+_Z2 = DecoratedMap(ZeroDec(), np.eye(2), 2)
+_P3 = DecoratedMap(PointDec(), np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ZeroDec().add(2, 3),
+                 "noise values live on different spaces", id="ZeroDec.add"),
+    pytest.param(lambda: PairDec(PointDec(), CovDec()).dim((np.zeros(2), np.eye(3))),
+                 "pair components live on different spaces", id="PairDec.dim"),
+    pytest.param(lambda: DecoratedMap(PointDec(), np.zeros(2), np.zeros(2)),
+                 "linear part must be a matrix", id="DecoratedMap-matrix"),
+    pytest.param(lambda: DecoratedMap(PointDec(), np.eye(2), np.zeros(3)),
+                 "noise does not live on the codomain", id="DecoratedMap-noise"),
+    pytest.param(lambda: lin_compose(_P2, _Z2),
+                 "cannot compose maps over different noise models", id="lin_compose-dec"),
+    pytest.param(lambda: lin_compose(_P2, _P3),
+                 "shape mismatch in composition", id="lin_compose-shape"),
+    pytest.param(lambda: lin_tensor(_P2, _Z2),
+                 "cannot tensor maps over different noise models", id="lin_tensor"),
+    pytest.param(lambda: DecoratedRelation(PointDec(), Subspace.zero(2), np.zeros(2), np.zeros(2)),
+                 "linear part must be a matrix", id="DecoratedRelation-matrix"),
+    pytest.param(lambda: DecoratedRelation(PointDec(), Subspace.zero(3), np.eye(2), np.zeros(2)),
+                 "nondeterminism subspace must live in the codomain", id="DecoratedRelation-nondet"),
+    pytest.param(lambda: DecoratedRelation(PointDec(), Subspace.zero(2), np.eye(2), np.zeros(3)),
+                 "noise does not live on the codomain", id="DecoratedRelation-noise"),
+    pytest.param(lambda: rel_compose(rel_from_lin(_P2), rel_from_lin(_Z2)),
+                 "cannot compose relations over different noise models", id="rel_compose-dec"),
+    pytest.param(lambda: rel_compose(rel_from_lin(_P2), rel_from_lin(_P3)),
+                 "shape mismatch in composition", id="rel_compose-shape"),
+    pytest.param(lambda: rel_tensor(rel_from_lin(_P2), rel_from_lin(_Z2)),
+                 "cannot tensor relations over different noise models", id="rel_tensor"),
+    pytest.param(lambda: absorb_subspace(_P2),
+                 "expected a map over PairDec(_, SubDec())", id="absorb_subspace"),
+    pytest.param(lambda: transform_lin(identity_transform(ZeroDec()), _P2),
+                 "map is not annotated over the transform source", id="transform_lin"),
+    pytest.param(lambda: transform_rel(identity_transform(ZeroDec()), rel_from_lin(_P2)),
+                 "relation is not annotated over the transform source", id="transform_rel"),
+])
+def test_invalid_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -594,6 +594,77 @@ def _outcome(run, program):
         return type(exc), str(exc)
 
 
+def _multiscale_body(rng):
+    """The statements of a random program whose variances span sixteen
+    orders of magnitude, and its variable names.  Each observation reads
+    one variable at its simulated value; one in ten is off by one."""
+    lines, names, truth = [], [], {}
+    coeffs = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1e3, 1e-3]
+    for i in range(int(rng.integers(2, 10))):
+        name = f"v{i}"
+        kind = rng.choice(["uniform", "normal", "assign"] if names else ["uniform", "normal"])
+        if kind == "uniform":
+            lines.append(f"{name} ~ uniform()")
+            value = float(rng.uniform(-2.0, 2.0))
+        else:
+            text = repr(float(rng.integers(0, 4)))
+            value = float(text)
+            lo = 0 if kind == "normal" else 1
+            for j in rng.choice(len(names), size=min(int(rng.integers(lo, 3)), len(names)),
+                                replace=False):
+                c = float(rng.choice(coeffs))
+                text += f" {_signed(c, names[j])}"
+                value += c * truth[names[j]]
+            if kind == "normal":
+                variance = 10.0 ** float(rng.uniform(-8.0, 8.0))
+                lines.append(f"{name} ~ normal({text}, {variance!r})")
+                value += np.sqrt(variance) * float(rng.standard_normal())
+            else:
+                lines.append(f"{name} = {text}")
+        truth[name] = value
+        names.append(name)
+        if rng.random() < 0.4:
+            seen = names[int(rng.integers(0, len(names)))]
+            off = 1.0 if rng.random() < 0.1 else 0.0
+            lines.append(f"observe {seen} == {_literal(truth[seen] + off)}")
+    return "\n".join(lines) + "\n", names
+
+
+class TestVerdictIgnoresTheReturnList:
+    """Whether the observations are feasible is a property of the joint, so
+    it cannot depend on which variables a program returns: the rank cuts
+    are anchored at the largest variance of a definition or an observed
+    row, never at a norm of the returned rows."""
+
+    MOTIVATION = ("x ~ normal(0, 1); d ~ normal(0, 5e-10); y = x + d; "
+                  "observe x == 1; observe y == 1.00001; return ")
+
+    @pytest.mark.parametrize("returns", ["x", "x, x, x, x", "d", "x, d"])
+    def test_a_tiny_variance_beside_a_unit_one_is_answered(self, returns):
+        # y - x = d is a 0.45 sigma draw of d, feasible whatever is returned
+        report = interpret(parse(self.MOTIVATION + returns))
+        expected = {"x": 1.0, "d": 1e-5}
+        for name, mean in zip(report.variables, report.posterior.mean):
+            assert abs(mean - expected[name]) <= 1e-12, (name, mean)
+        assert report.posterior.nondet.dim == 0
+
+    @staticmethod
+    def _verdict(source):
+        """The raised error's type and message, or None."""
+        got = _outcome(interpret, parse(source))
+        return got if isinstance(got, tuple) else None
+
+    def test_first_variable_and_every_variable_thrice_agree(self):
+        differ = []
+        for seed in range(400):
+            body, names = _multiscale_body(np.random.default_rng(seed))
+            one = self._verdict(body + f"return {names[0]}\n")
+            every = self._verdict(body + "return " + ", ".join(names * 3) + "\n")
+            if one != every:
+                differ.append((seed, one, every))
+        assert differ == []
+
+
 # Programs whose inference overflows, infeasible programs whose first
 # failure must be found among several pending observations, and programs
 # where observing first, in program order, keeps a definition finite.

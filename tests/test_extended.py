@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 
@@ -931,6 +932,13 @@ class TestConditionRows:
         assert got.nondet.dim == expected.nondet.dim
         assert _max_gap(got, expected) <= 1e-9
 
+    def test_an_infinite_scale_is_refused(self):
+        # the singular values are compared with the square root of the
+        # anchor, which must not turn an infinite scale into rank 0
+        f, g = np.eye(2), np.zeros((2, 0))
+        with pytest.raises(NonFiniteInput, match="^scale has a NaN or infinite entry$"):
+            E._condition_rows(np.zeros(2), f, g, 1, np.zeros(1), np.zeros(2), DEFAULT_TOL, math.inf)
+
 
 def _assert_psd_to_rounding(cov, what):
     assert np.array_equal(cov, cov.T), what
@@ -1018,3 +1026,33 @@ class TestCheckWhereCreated:
                 results["observe"] = observe(psi, obs, obs @ support_point(rng, psi))
             for name, out in results.items():
                 _assert_psd_to_rounding(out.cov, (seed, i, shape, name))
+
+
+_G2 = gaussian(np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ExtendedGaussianMap(Subspace.zero(2), np.zeros(2), np.zeros(2), np.eye(2)),
+                 "linear part must be a matrix", id="ExtendedGaussianMap-matrix"),
+    pytest.param(lambda: ExtendedGaussianMap(Subspace.zero(2), np.eye(2), np.zeros(3), np.eye(2)),
+                 "mean of shape (3,), expected (2,)", id="ExtendedGaussianMap-mean"),
+    pytest.param(lambda: ExtendedGaussianMap(Subspace.zero(2), np.eye(2), np.zeros(2), np.eye(3)),
+                 "cov of shape (3, 3), expected (2, 2)", id="ExtendedGaussianMap-cov"),
+    pytest.param(lambda: as_distribution(E.identity(2)),
+                 "not a distribution: domain dimension is nonzero", id="as_distribution"),
+    pytest.param(lambda: E.pushforward(np.eye(3), _G2),
+                 "matrix of shape (3, 3) applied to R^2", id="pushforward"),
+    pytest.param(lambda: observe(_G2, np.ones((1, 3)), [0.0]),
+                 "observation matrix of shape (1, 3) on R^2", id="observe-matrix"),
+    pytest.param(lambda: observe(_G2, np.ones((1, 2)), [0.0, 1.0]),
+                 "observed value of shape (2,), expected (1,)", id="observe-value"),
+    pytest.param(lambda: condition_equal(gaussian(np.zeros(3), np.eye(3))),
+                 "condition_equal needs an even-dimensional joint", id="condition_equal"),
+    pytest.param(lambda: PrecisionRep(Subspace.full(2), np.eye(3)),
+                 "form shape does not match the support's ambient space", id="form-shape"),
+    pytest.param(lambda: E.CovarianceRep(Subspace.span([[1.0, 0.0]]), np.eye(2)),
+                 "form is not supported on the given subspace", id="form-support"),
+])
+def test_invalid_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,9 +1,10 @@
 """The package's values are immutable, and so are the arrays they hold.
 
 Every value class stores its fields through one private base: assigning
-to any field raises ``AttributeError("<ClassName> is immutable")``, and
-each array a value holds, also inside a noise pair, is a read-only copy,
-so writing into an array the caller passed in changes no value.
+or deleting any field raises ``AttributeError("<ClassName> is immutable")``,
+and each array a value holds, also inside a noise pair, is a read-only
+copy, so writing into an array or list the caller passed in changes no
+value.
 """
 
 import numpy as np
@@ -36,6 +37,10 @@ VALUES = [
 ]
 
 
+def _slots(value):
+    return [s for cls in type(value).__mro__ for s in vars(cls).get("__slots__", ())]
+
+
 def _arrays(field):
     if isinstance(field, tuple):
         for item in field:
@@ -53,7 +58,7 @@ def test_every_value_class_is_covered():
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_assigned_and_arrays_are_read_only(value):
     name = type(value).__name__
-    slots = [s for cls in type(value).__mro__ for s in vars(cls).get("__slots__", ())]
+    slots = _slots(value)
     assert slots
     for slot in slots + ["not_a_field"]:
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
@@ -76,3 +81,27 @@ def test_decorated_map_keeps_its_own_arrays(dec, noise):
     noise[0] = 7.0
     assert np.array_equal(m.lin, want_lin) and np.array_equal(m.noise, want_noise)
     assert not m.lin.flags.writeable and not m.noise.flags.writeable
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_deleted(value):
+    name = type(value).__name__
+    for slot in _slots(value):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, slot)
+        getattr(value, slot)  # still there
+
+
+@pytest.mark.parametrize("dec, noise", [
+    (PointDec(), [1.0, 2.0]),
+    (CovDec(), [[1.0, 0.0], [0.0, 1.0]]),
+    (_PAIR, ([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])),
+], ids=["PointDec", "CovDec", "PairDec"])
+def test_list_noise_is_stored_as_a_read_only_array(dec, noise):
+    m = DecoratedMap(dec, np.eye(2), noise)
+    pair = isinstance(noise, tuple)
+    for given, array in zip(noise if pair else (noise,), m.noise if pair else (m.noise,)):
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+        want = np.array(given)
+        given[0] = 7.0
+        assert np.array_equal(array, want)

@@ -1,9 +1,10 @@
 """Guard on the number of LAPACK factorizations a program or an observation costs.
 
-The count for a fixed program is deterministic, so it is pinned: a change
-that brings back per-call factorizations (for example an ``image`` and an
-``annihilator`` SVD for every definition) fails here before any timing
-would show it.
+Every ``numpy.linalg`` factorization is counted, and so is every spectral
+norm (an SVD in disguise).  The count for a fixed program is
+deterministic, so it is pinned: a change that brings back per-call
+factorizations (for example an ``image`` and an ``annihilator`` SVD for
+every definition) fails here before any timing would show it.
 """
 
 import numpy as np
@@ -18,12 +19,14 @@ from test_extended import _NONDET_SHAPES, _conditional_case
 
 STEPS = 12
 
-# Measured for this program when the conditional began to work on the
-# factor of the observed and returned rows, with one SVD of the observed
-# generator rows, one of the observed factor rows projected off them and
-# no eigh (6 before; 29 before the interpreter began to lower each
-# definition's Gaussian part as a row of a factor, with no covariance and
-# no PSD check per definition; 33 before it began to condition only the
+# Measured for this program when the conditional's rank cuts began to
+# take their scale from the rows' variances and row norms, with no
+# spectral norm: one SVD of the observed generator rows and one of the
+# observed factor rows projected off them (3 before, with the spectral
+# norm of the observed and returned factor rows; 6 before the conditional
+# began to work on the factor of those rows, with no eigh; 29 before the
+# interpreter began to lower each definition's Gaussian part as a row of
+# a factor, with no covariance and no PSD check per definition; 33 before it began to condition only the
 # observed and returned rows, with one SVD of the observed generator rows;
 # 34 before it lowered the program into arrays, with no PSD check for a
 # definition that reads only point masses; 104 before it carried the
@@ -41,27 +44,30 @@ STEPS = 12
 # before extended Gaussian maps became decorated relations, and 1,080
 # before the complement of a subspace became a write-once cache).  Lower
 # it when a change saves more.
-MAX_FACTORIZATIONS = 3
+MAX_FACTORIZATIONS = 2
 
-# Measured for the regression program below with the same change (7
-# before, 14 before the factor lowering, 18 before the array lowering, 28
-# before the generator matrix, 33 before the one-eigh psd_normalize, 43
-# before the fresh coordinates, 73 before the stacked observe, 121 before
-# the one-SVD graph decomposition, 179 before the PSD change, 239 before
-# the graph-decomposition conditional).
-MAX_FLATREG_FACTORIZATIONS = 4
+# Measured for the regression program below with the same change (4
+# before, with two spectral norms; 7 before the factor conditional, 14
+# before the factor lowering, 18 before the array lowering, 28 before the
+# generator matrix, 33 before the one-eigh psd_normalize, 43 before the
+# fresh coordinates, 73 before the stacked observe, 121 before the
+# one-SVD graph decomposition, 179 before the PSD change, 239 before the
+# graph-decomposition conditional).
+MAX_FLATREG_FACTORIZATIONS = 2
 
 # Measured for one rank-1 observe at n = 30 with 5 nondeterministic
 # directions with the same change, one eigh of which factors the
-# covariance (7 before; 8 before observe went through the row
-# conditional; 10 before, when the graph decomposition came from one SVD;
-# 22 before that, 32 before the PSD change).
-MAX_OBSERVE_FACTORIZATIONS = 5
+# covariance (5 before, with two spectral norms; 7 before the factor
+# conditional; 8 before observe went through the row conditional; 10
+# before, when the graph decomposition came from one SVD; 22 before that,
+# 32 before the PSD change).
+MAX_OBSERVE_FACTORIZATIONS = 3
 
 # Measured for the dense mixing program below, at 30 and at 90 variables,
-# with the same change (4 before; 33 and 93 before the factor lowering,
-# with one eigh per definition that read a live variable).
-MAX_MIXING_FACTORIZATIONS = 2
+# with the same change (2 before, with a spectral norm; 4 before the
+# factor conditional; 33 and 93 before the factor lowering, with one eigh
+# per definition that read a live variable).
+MAX_MIXING_FACTORIZATIONS = 1
 
 # Measured for the conditional of the coupled pair of acceptance criterion
 # 2 when conditionals began to condition the factor of the normal form:
@@ -204,9 +210,12 @@ def test_flatreg_program_factorization_budget(monkeypatch):
     assert total <= MAX_FLATREG_FACTORIZATIONS, counts
 
 
-@pytest.mark.parametrize("program", [
+_PROGRAMS = pytest.mark.parametrize("program", [
     _chain_program(STEPS), _mixing_program(30), _flatreg_program(),
 ], ids=["chain", "mixing", "flatreg"])
+
+
+@_PROGRAMS
 def test_interpret_makes_no_eigendecomposition(monkeypatch, program):
     # the conditional works on factors: no Schur complement, so no eigh of a
     # covariance and no PSD check anywhere on the path of a program
@@ -214,6 +223,16 @@ def test_interpret_makes_no_eigendecomposition(monkeypatch, program):
     counts = _count_factorizations(monkeypatch)
     interpret(program)
     assert counts.get("eigh", 0) == counts.get("eigvalsh", 0) == 0, counts
+
+
+@_PROGRAMS
+def test_interpret_makes_no_spectral_norm(monkeypatch, program):
+    # the rank cuts take their scale from the largest variance and the
+    # largest row norm, which need no SVD
+    program = parse(program)
+    counts = _count_factorizations(monkeypatch)
+    interpret(program)
+    assert counts.get("norm", 0) == 0, counts
 
 
 def test_coupled_pair_conditional_factorization_budget(monkeypatch):
