@@ -54,7 +54,8 @@ class ExtendedGaussianMap(DecoratedRelation):
     noise ``(mean, cov)``: ``lin``, ``mean`` and ``cov`` are orthogonal to
     ``nondet``, so equivalent inputs produce equal values.  The given
     covariance is checked and clamped to PSD once, before the projection.
-    Raises :class:`NonFiniteInput` on a NaN or infinite entry.
+    Raises :class:`NonFiniteInput` on a NaN or infinite entry.  What the
+    package builds itself, the closed forms too, is in normal form already.
     """
 
     __slots__ = ()
@@ -136,38 +137,33 @@ def gaussian(mean, cov, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
 
 def dirac(point) -> ExtendedGaussian:
     point = np.asarray(point, dtype=float).reshape(-1)
+    _check_finite(mean=point)
     n = point.shape[0]
-    return ExtendedGaussian(Subspace.zero(n), point, np.zeros((n, n)))
+    return ExtendedGaussian._from_normal(_DEC, Subspace.zero(n), np.zeros((n, 0)),
+                                         (point, np.zeros((n, n))))
 
 
 def uniform(n: int) -> ExtendedGaussian:
     """Complete ignorance on R^n: nondeterminism along every direction."""
-    return ExtendedGaussian(Subspace.full(n), np.zeros(n), np.zeros((n, n)))
+    return ExtendedGaussian._from_normal(_DEC, Subspace.full(n), np.zeros((n, 0)), _DEC.zero(n))
 
 
 def from_gaussian(g: GaussianMap) -> ExtendedGaussianMap:
-    return ExtendedGaussianMap(Subspace.zero(g.cod_dim), g.lin, g.mean, g.cov)
+    return ExtendedGaussianMap._from_normal(_DEC, Subspace.zero(g.cod_dim), g.lin, (g.mean, g.cov))
 
 
 def identity(n: int) -> ExtendedGaussianMap:
-    return ExtendedGaussianMap(
-        Subspace.zero(n), np.eye(n), np.zeros(n), np.zeros((n, n))
-    )
+    return ExtendedGaussianMap._from_normal(_DEC, Subspace.zero(n), np.eye(n), _DEC.zero(n))
 
 
 def copy(n: int) -> ExtendedGaussianMap:
-    return ExtendedGaussianMap(
-        Subspace.zero(2 * n),
-        np.vstack([np.eye(n), np.eye(n)]),
-        np.zeros(2 * n),
-        np.zeros((2 * n, 2 * n)),
+    return ExtendedGaussianMap._from_normal(
+        _DEC, Subspace.zero(2 * n), np.vstack([np.eye(n), np.eye(n)]), _DEC.zero(2 * n)
     )
 
 
 def delete(n: int) -> ExtendedGaussianMap:
-    return ExtendedGaussianMap(
-        Subspace.zero(0), np.zeros((0, n)), np.zeros(0), np.zeros((0, 0))
-    )
+    return ExtendedGaussianMap._from_normal(_DEC, Subspace.zero(0), np.zeros((0, n)), _DEC.zero(0))
 
 
 def compose(f2: ExtendedGaussianMap, f1: ExtendedGaussianMap,
@@ -300,20 +296,21 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     Each row of ``g`` is scaled by ``D^-1``, the power of two that brings its
     magnitude before cancellation ``mag`` into [0.5, 1).  One SVD of the
     observed rows, cut at ``rank_rel_tol``, gives ``h = D_r g_r V_q S_q^-1
-    U_q^T D_o^-1``, ``perp = col(D_o^-1 U_perp)`` and, cut apart, ``eta =
-    col(D_r col(g_r V_perp))`` at g_r's largest row norm.  One SVD of ``A =
-    perp^T f_o``, dominant column first, gives the rest: rank s counts
-    ``sigma_i > sqrt(rank_rel_tol) * max(sigma_1, anchor)`` and, with ``b =
-    perp^T (value - mean_o)`` and ``K = f_r - h f_o``, the mean is ``mean_r
-    + h (value - mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``, extended by 0
-    off U_s."""
+    U_q^T D_o^-1`` and ``perp = col(D_o^-1 U_perp)``; one thin SVD of
+    ``g_r V_perp``, cut by the same rule, gives ``eta = col(D_r U_t)``.  One
+    SVD of ``A = perp^T f_o``, dominant column first, gives the rest: rank s
+    counts ``sigma_i > sqrt(rank_rel_tol) * max(sigma_1, anchor)`` and, with
+    ``b = perp^T (value - mean_o)`` and ``K = f_r - h f_o``, the mean is
+    ``mean_r + h (value - mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``,
+    extended by 0 off U_s."""
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
     (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
     u, s, vt = _svd(g_o)
     q = int(np.sum(s > tol.rank_rel_tol))
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
-    eta = column_space(g_r @ vt[q:].T, tol, float(np.linalg.norm(g_r, axis=1).max(initial=0.0)))
-    eta, perp = _scaled_basis(eta.basis, e_r), _scaled_basis(u[:, q:], -e_o)
+    ue, se, _ = _svd(g_r @ vt[q:].T, full_matrices=False)
+    eta = _fix_signs(ue[:, :int(np.sum(se > tol.rank_rel_tol))])
+    eta, perp = _scaled_basis(eta, e_r), _scaled_basis(u[:, q:], -e_o)
     (f_o, f_r), resid = np.split(f, [k]), value - mean[:k]
     a, b = perp.T @ f_o, perp.T @ resid
     with np.errstate(over="ignore"):  # dominant column first, or the SVD cancels in V_perp
@@ -425,9 +422,8 @@ def covariance_rep(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> Covar
 
 
 def from_covariance_rep(rep: CovarianceRep, tol: Tolerance = DEFAULT_TOL) -> ExtendedGaussian:
-    return ExtendedGaussian(
-        rep.dual_support.annihilator(),
-        np.zeros(rep.dual_support.ambient_dim),
-        rep.form,
-        tol,
-    )
+    """The centered extended Gaussian of ``rep``, whose form was checked where
+    it entered: one SVD gives the nondeterminism, the annihilator."""
+    n = rep.dual_support.ambient_dim
+    return ExtendedGaussian._from_normal(_DEC, rep.dual_support.annihilator(), np.zeros((n, 0)),
+                                         (np.zeros(n), rep.form))

@@ -18,10 +18,10 @@ threads.
 A basis is checked where it enters: ``Subspace(n, basis, tol)`` tests its
 shape, finiteness and orthonormality, and ``Subspace.span``,
 ``Subspace.from_dict`` and :func:`column_space` reject a non-finite input
-before their SVD.  Every subspace built inside the package comes from
-:func:`column_space` or a closed form through the unchecked
-``Subspace._of``.  A NaN or infinite input raises :class:`NonFiniteInput`,
-which names the argument.
+before their SVD.  Every subspace built inside the package, by
+:func:`column_space`, by a closed form or by a rank cut of the
+conditional, goes through the unchecked ``Subspace._of``.  A NaN or
+infinite input raises :class:`NonFiniteInput`, which names the argument.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def intersect(u: Subspace, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspac
 def image(a, u: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """The direct image A[U] = {A x : x in U} as a subspace of R^m.
 
-    The rank cutoff is taken relative to the operator norm of A, so a
+    The rank cutoff is taken relative to the largest row norm of A, so a
     matrix that annihilates U yields the zero subspace instead of a basis
     of rounding noise.  Raises :class:`NonFiniteInput` on NaN or Inf in A.
     """
@@ -315,7 +315,7 @@ def image(a, u: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         raise ValueError(
             f"matrix with {a.shape[1]} columns applied to subspace of R^{u.ambient_dim}"
         )
-    scale = float(np.linalg.norm(a, 2)) if a.size and u.dim else 0.0
+    scale = float(np.hypot.reduce(a, axis=1, initial=0.0).max(initial=0.0))  # cannot overflow
     return column_space(a @ u.basis, tol, scale)
 
 

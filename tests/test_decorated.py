@@ -477,3 +477,12 @@ _P3 = DecoratedMap(PointDec(), np.eye(3), np.zeros(3))
 def test_invalid_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_decorations_are_dict_keys():
+    # the hash agrees with ==: a fresh, equal decoration finds the entry
+    table = {dec: i for i, dec in enumerate(ALL_DECS)}
+    assert len(table) == len(ALL_DECS)
+    fresh = [ZeroDec(), PointDec(), SubDec(), CovDec(), PairDec(PointDec(), CovDec())]
+    assert [table[dec] for dec in fresh] == list(range(len(ALL_DECS)))
+    assert PairDec(CovDec(), PointDec()) not in table

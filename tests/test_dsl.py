@@ -648,6 +648,15 @@ class TestVerdictIgnoresTheReturnList:
             assert abs(mean - expected[name]) <= 1e-12, (name, mean)
         assert report.posterior.nondet.dim == 0
 
+    # y reads x2 through 3e-10, above the cut: the returned nondeterminism is
+    # cut at rank_rel_tol on the magnitude-scaled rows, so copies of x1, which
+    # grow the largest singular value, drop no direction
+    @pytest.mark.parametrize("returns", ["x1, y", "x1, x1, x1, x1, x1, x1, x1, x1, y"])
+    def test_duplicated_returns_keep_every_unknown_direction(self, returns):
+        report = interpret(parse("x1 ~ uniform(); x2 ~ uniform(); y = x1 + 3e-10*x2; "
+                                 f"return {returns}"))
+        assert report.posterior.nondet.dim == 2
+
     @staticmethod
     def _verdict(source):
         """The raised error's type and message, or None."""
@@ -888,6 +897,17 @@ class TestDeferredObservations:
         report = interpret(parse("x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; b = a - 0.3*x1; return b"))
         assert report.posterior.equals(E.dirac([0.0]))
 
+    def test_residue_is_dropped_where_the_row_is_written(self):
+        # b's row is residue, dropped with its magnitude when b is written, so
+        # d's row is its own 1e-16, judged against d's own magnitude; kept, the
+        # residue would carry b's 0.6 of magnitude into d, and d's whole row
+        # would be cut as residue when the program is conditioned
+        head = "x1 ~ uniform(); a = 0.1*x1 + 0.2*x1; b = a - 0.3*x1; d = b + 1e-16*x1; "
+        assert interpret(parse(head + "return d")).posterior.equals(E.uniform(1))
+        report = interpret(parse(head + "observe d == 1; return x1"))
+        assert report.posterior.nondet.dim == 0
+        np.testing.assert_allclose(report.posterior.mean, [1e16], rtol=1e-15)
+
     # y's x column cancels to 0 from terms of 2e300 (2e308 overflows), while
     # its v column is v's own 0.5: each entry is judged against its own
     # magnitude, so y is v, unknown, and observing y, or the same sum, pins v
@@ -1059,6 +1079,10 @@ class TestPretty:
         assert parse(pretty(program)) == program
         # and pretty itself is then stable
         assert pretty(parse(pretty(program))) == pretty(program)
+
+    def test_empty_expression_is_zero(self):
+        program = Program((Sample("x", UniformDist()), Assign("y", Expr(()))), (Ident("y"),))
+        assert pretty(program) == "x ~ uniform()\ny = 0\nreturn y\n"
 
     def test_leading_negative_term_goes_through_zero(self):
         # the grammar has no unary minus: a hand-built expression that starts

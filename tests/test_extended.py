@@ -471,13 +471,15 @@ class TestSupportAndFunctorPaths:
 
 def _single_normal_form_cases(rng):
     """(name, thunk) pairs: compose, tensor and as_distribution on random
-    operands, distributions and maps mixed on both sides.  Operands are
-    built here, so a thunk runs only the operation under test."""
+    operands, distributions and maps mixed on both sides, and the closed
+    forms, of dimension 0 too.  Operands are built here, so a thunk runs
+    only the operation under test."""
     n, m, p = (int(rng.integers(1, 4)) for _ in range(3))
     f, g = random_extended_map(rng, n, m), random_extended_map(rng, m, p)
     psi, chi = random_extended(rng, n), random_extended(rng, m)
     flat = ExtendedGaussianMap(chi.nondet, np.zeros((m, 0)), chi.mean, chi.cov)
     drop = E.delete(m)
+    gmap, rep = random_gaussian_map(rng, n, m), covariance_rep(psi)
     return [
         ("compose map map", lambda: E.compose(g, f)),
         ("compose map dist", lambda: E.compose(f, psi)),
@@ -489,6 +491,13 @@ def _single_normal_form_cases(rng):
         ("as_distribution dist", lambda: as_distribution(psi)),
         ("as_distribution flat map", lambda: as_distribution(flat)),
         ("as_distribution composite", lambda: as_distribution(E.compose(f, psi))),
+        ("identity", lambda: E.identity(n - 1)),
+        ("copy", lambda: E.copy(m - 1)),
+        ("delete", lambda: E.delete(p - 1)),
+        ("uniform", lambda: uniform(n - 1)),
+        ("dirac", lambda: dirac(chi.mean)),
+        ("from_gaussian", lambda: from_gaussian(gmap)),
+        ("from_covariance_rep", lambda: from_covariance_rep(rep)),
     ]
 
 
@@ -961,11 +970,19 @@ class TestCheckWhereCreated:
             phi, nx = _conditional_case(rng, _NONDET_SHAPES[i % 4])
             psi = random_extended(rng, int(rng.integers(1, 6)))
             obs = rng.standard_normal((1, psi.dim))
-            cases.append((phi, nx, psi, obs, obs @ support_point(rng, psi)))
+            g = GaussianMap(phi.lin, phi.mean, phi.cov)
+            cases.append((phi, nx, psi, obs, obs @ support_point(rng, psi), g, covariance_rep(psi)))
         counts = _count_own_numerics(monkeypatch)
-        for phi, nx, psi, obs, value in cases:
+        for phi, nx, psi, obs, value, g, rep in cases:
             for run, expected in (
                 (lambda: ExtendedGaussianMap(phi.nondet, phi.lin, phi.mean, phi.cov), 1),
+                (lambda: E.identity(psi.dim), 0),
+                (lambda: E.copy(psi.dim), 0),
+                (lambda: E.delete(psi.dim), 0),
+                (lambda: uniform(psi.dim), 0),
+                (lambda: dirac(psi.mean), 0),
+                (lambda: from_gaussian(g), 0),
+                (lambda: from_covariance_rep(rep), 0),
                 (lambda: E.conditional(phi, nx), 0),
                 (lambda: observe(psi, obs, value), 0),
                 (lambda: E.pushforward(obs, psi), 0),

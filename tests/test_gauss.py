@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,37 @@ class TestMonteCarloConsistency:
         emp_cov = np.cov(y.T)
         se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(emp_cov - cov) <= 4.0 * se_cov)
+
+
+_G2 = distribution(np.zeros(2), np.eye(2))
+_S1 = AffineSupportMap(np.eye(1), [0.0], Subspace.zero(1))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gauss.psd_normalize(np.ones((2, 3))),
+                 "covariance must be square, got shape (2, 3)", id="psd_normalize"),
+    pytest.param(lambda: GaussianMap(np.zeros(2), np.zeros(2), np.eye(2)),
+                 "linear part must be a matrix", id="GaussianMap-matrix"),
+    pytest.param(lambda: GaussianMap(np.eye(2), np.zeros(3), np.eye(2)),
+                 "mean of shape (3,), expected (2,)", id="GaussianMap-mean"),
+    pytest.param(lambda: GaussianMap(np.eye(2), np.zeros(2), np.eye(3)),
+                 "cov of shape (3, 3), expected (2, 2)", id="GaussianMap-cov"),
+    pytest.param(lambda: gauss.conditional(_G2, 3),
+                 "split 3 out of range for codomain 2", id="conditional"),
+    pytest.param(lambda: AffineSupportMap(np.eye(2), np.zeros(3), Subspace.zero(2)),
+                 "offset of shape (3,), expected (2,)", id="AffineSupportMap-offset"),
+    pytest.param(lambda: AffineSupportMap(np.eye(2), np.zeros(2), Subspace.zero(3)),
+                 "noise_space ambient does not match codomain", id="AffineSupportMap-noise"),
+    pytest.param(lambda: compose_support(_S1, support(_G2)),
+                 "shape mismatch in support composition", id="compose_support"),
+])
+def test_invalid_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert type(err.value) is ValueError
+
+
+def test_equals_is_false_across_shapes_and_noise_spaces():
+    assert not _G2.equals(distribution([0.0], [[1.0]]))
+    assert not support(_G2).equals(_S1)
+    assert not _S1.equals(AffineSupportMap(np.eye(1), [0.0], Subspace.full(1)))

@@ -13,7 +13,8 @@ import pytest
 from extgauss.dsl import interpret, parse
 from extgauss import extended as E
 from extgauss.extended import ExtendedGaussian, observe
-from extgauss.subspace import Subspace
+from extgauss.gauss import GaussianMap
+from extgauss.subspace import Subspace, image
 
 from test_extended import _NONDET_SHAPES, _conditional_case
 
@@ -254,3 +255,36 @@ def test_conditional_makes_one_eigh(monkeypatch):
         counts.clear()
         E.conditional(phi, nx)
         assert counts.get("eigh", 0) <= 1 and counts.get("eigvalsh", 0) == 0, counts
+
+
+_GAUSSIAN_MAP = GaussianMap(np.ones((2, 1)), np.ones(2), np.eye(2))
+_REP = E.covariance_rep(ExtendedGaussian(Subspace.span([[1.0, 1.0, 0.0]]), np.ones(3), np.eye(3)))
+
+
+# Closed forms are built in normal form, so they factor nothing; the
+# conversion from a covariance rep makes one SVD, for its nondeterminism
+# (the annihilator of the dual support).  Measured when they stopped going
+# through the checking constructor (1 eigh each before, and 1 SVD more for
+# uniform and for from_covariance_rep).
+@pytest.mark.parametrize("build, expected", [
+    pytest.param(lambda: E.identity(5), {}, id="identity"),
+    pytest.param(lambda: E.copy(3), {}, id="copy"),
+    pytest.param(lambda: E.uniform(5), {}, id="uniform"),
+    pytest.param(lambda: E.dirac([1.0, 2.0]), {}, id="dirac"),
+    pytest.param(lambda: E.from_gaussian(_GAUSSIAN_MAP), {}, id="from_gaussian"),
+    pytest.param(lambda: E.from_covariance_rep(_REP), {"svd": 1}, id="from_covariance_rep"),
+])
+def test_closed_form_factorization_budget(monkeypatch, build, expected):
+    counts = _count_factorizations(monkeypatch)
+    build()
+    assert counts == expected
+
+
+def test_image_makes_one_factorization(monkeypatch):
+    # the cut is anchored at the largest row norm, which needs no SVD (a
+    # spectral norm of the matrix before)
+    rng = np.random.default_rng(31)
+    a, u = rng.standard_normal((4, 5)), Subspace.span(rng.standard_normal((3, 5)))
+    counts = _count_factorizations(monkeypatch)
+    assert image(a, u).dim == 3
+    assert counts == {"svd": 1}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -307,3 +308,37 @@ def _tensor_rel(r1: LinearRelation, r2: LinearRelation) -> LinearRelation:
         vecs.append(v)
     graph = Subspace.span(vecs, ambient_dim=n1 + n2 + m1 + m2)
     return LinearRelation(n1 + n2, m1 + m2, graph)
+
+
+_R2 = LinearRelation.from_matrix(np.eye(2))
+_A1 = AffineRelation.from_affine_map([[2.0]], [1.0])  # the graph of x -> 2x + 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LinearRelation(1, 1, Subspace.zero(3)),
+                 ValueError, "graph lives in R^3, expected R^2", id="LinearRelation-graph"),
+    pytest.param(lambda: QuotientForm(Subspace.zero(3), np.eye(2)),
+                 ValueError, "noise subspace must live in the codomain", id="QuotientForm"),
+    pytest.param(lambda: conditional(_R2, 3),
+                 ValueError, "split 3 out of range for codomain 2", id="conditional"),
+    pytest.param(lambda: AffineRelation(1, 1, np.zeros(3), Subspace.full(2)),
+                 ValueError, "base point must live in R^{dom+cod}", id="AffineRelation-base"),
+    pytest.param(lambda: AffineRelation(1, 1, np.zeros(2), Subspace.full(3)),
+                 ValueError, "direction must live in R^{dom+cod}", id="AffineRelation-direction"),
+    pytest.param(lambda: AffineRelation(1, 1, np.zeros(2), Subspace.span([[0.0, 1.0]])),
+                 NotLeftTotal, "direction does not project onto the whole domain",
+                 id="AffineRelation-left-total"),
+    pytest.param(lambda: AffineQuotientForm(Subspace.zero(2), np.eye(2), np.zeros(3)),
+                 ValueError, "offset must live in the codomain", id="AffineQuotientForm"),
+    pytest.param(lambda: compose_affine(_A1, AffineRelation.from_affine_map(np.eye(2), np.zeros(2))),
+                 ValueError, "shape mismatch in affine composition", id="compose_affine"),
+])
+def test_invalid_input_raises(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert type(err.value) is error
+
+
+def test_affine_relates_on_the_graph_only():
+    assert _A1.relates([1.0], [3.0]) and _A1.relates([-2.0], [-3.0])
+    assert not _A1.relates([1.0], [3.5])

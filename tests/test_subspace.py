@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import warnings
 
@@ -576,3 +577,24 @@ class TestSvdRetry:
         got = interpret(program).posterior
         assert failed == ["_conditional_rows"]
         assert got.nondet.dim == want.nondet.dim == 2 and got.equals(want)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Subspace(-1, np.zeros((0, 0))),
+                 "ambient_dim must be nonnegative", id="Subspace-ambient"),
+    pytest.param(lambda: Subspace.span([]),
+                 "ambient_dim is required for an empty span", id="span-empty"),
+    pytest.param(lambda: Subspace.full(2).contains(np.zeros(3)),
+                 "vector of shape (3,) in R^2", id="contains"),
+    pytest.param(lambda: structured_complement(Subspace.zero(3), 1, 1),
+                 "subspace of R^3 does not split as 1+1", id="structured_complement"),
+])
+def test_invalid_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert type(err.value) is ValueError
+
+
+def test_subspaces_of_different_ambient_spaces_differ():
+    assert not Subspace.zero(2).equals(Subspace.zero(3))
+    assert Subspace.full(2) != Subspace.full(3)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from extgauss import NonFiniteInput
+from extgauss import decorated, dsl, gauss, linrel, subspace
 from extgauss import extended as E
-from extgauss import linrel
 from extgauss.dsl import interpret, parse
 from extgauss.extended import ExtendedGaussian, ExtendedGaussianMap, PrecisionRep
 from extgauss.gauss import GaussianMap
@@ -182,6 +182,23 @@ class TestInside:
         for program in programs:
             interpret(program)
         self._assert_contract(seen)
+
+    def test_bench_programs_reach_no_public_builder(self, monkeypatch):
+        # gx run builds every value in normal form and makes its own rank
+        # cuts: no public span, constructor or PSD check runs for a program
+        programs = [parse(text) for text in _bench_programs()]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("interpret reached a public builder")
+
+        for module in (subspace, E, decorated, gauss, linrel, dsl):
+            for name in ("column_space", "orthonormal_columns", "psd_normalize"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for cls in (Subspace, ExtendedGaussianMap, decorated.DecoratedRelation):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        for program in programs:
+            interpret(program)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_engine_operations(self, seed, inside):
