@@ -1,7 +1,8 @@
 """A small probabilistic language over scalar Gaussian and uniform variables.
 
-Grammar (whitespace-insensitive, ``#`` starts a line comment, a ``;``
-may optionally separate statements)::
+Grammar (blanks are space, tab, CR and LF, and may go between any two
+tokens; ``#`` starts a line comment, a ``;`` may optionally separate
+statements)::
 
     program := stmt* "return" ident ("," ident)*
     stmt    := ident "~" dist | ident "=" expr | "observe" expr "==" expr
@@ -219,11 +220,14 @@ def _name(toks: list, i: int) -> str:
     return text
 
 
-def _terms(toks: list, i: int, outer: float, out: list) -> int:
-    """Append the terms of the expression at ``i`` to ``out``, each times
-    ``outer`` (the sign of an enclosing parenthesis)."""
-    sign = outer
+def _terms(toks: list, i: int) -> tuple[list, int]:
+    """The terms of the expression at ``i``, each times the sign its parentheses
+    give it (a stack, not recursion, so that any depth parses), and the index after."""
+    out, outer, sign = [], [1.0], 1.0  # outer: the sign of each open parenthesis
     while True:
+        while toks[i][0] == "(":
+            outer.append(sign)
+            i += 1
         kind, text, line, col = toks[i]
         if kind == "number":
             if toks[i + 1][0] == "*":
@@ -233,22 +237,20 @@ def _terms(toks: list, i: int, outer: float, out: list) -> int:
                 out.append(Term(sign * float(text), None, line, col))
         elif kind == "ident":
             out.append(Term(sign, _name(toks, i), line, col))
-        elif kind == "(":
-            i = _terms(toks, i + 1, sign, out)
-            _expect(toks, i, ")")
         else:
             found = text or "end of input"
             raise ParseError(f"expected a number, variable or '(', found {found!r}", line, col)
-        kind = toks[i + 1][0]
-        if kind != "+" and kind != "-":
-            return i + 1
-        sign = outer if kind == "+" else -outer
+        while toks[i + 1][0] not in ("+", "-"):  # close parentheses up to the next sign
+            if len(outer) == 1:
+                return out, i + 1
+            i = _expect(toks, i + 1, ")") - 1
+            outer.pop()
+        sign = outer[-1] if toks[i + 1][0] == "+" else -outer[-1]
         i += 2
 
 
 def _expr(toks: list, i: int) -> tuple[Expr, int]:
-    terms: list = []
-    end = _terms(toks, i, 1.0, terms)
+    terms, end = _terms(toks, i)
     return Expr(tuple(terms), toks[i][2], toks[i][3]), end
 
 
@@ -280,13 +282,7 @@ def _statement(toks: list, i: int) -> tuple[Stmt, int]:
     raise ParseError(f"expected '~' or '=' after {name!r}", op[2], op[3])
 
 
-def parse(text: str) -> Program:
-    """Parse source text into a program AST.
-
-    Raises :class:`ParseError` with a 1-based (line, column) position on
-    malformed input.  Scope and shape violations are reported by
-    :func:`typecheck`, not here.
-    """
+def _parse_tokens(text: str) -> Program:
     toks = _tokenize(text)
     statements: list = []
     i = 0
@@ -310,6 +306,89 @@ def parse(text: str) -> Program:
     if kind != "eof":
         raise ParseError(f"unexpected {word!r} after return statement", line, col)
     return Program(tuple(statements), tuple(returns))
+
+
+# ---------------------------------------------------------------------------
+# Scanner: one match per statement and one ``findall`` per expression.
+
+_B = r"[ \t\r]*"
+_WORD = r"[A-Za-z_]\w*"
+_NAME = rf"(?!(?:return|observe|normal|uniform)\b){_WORD}(?![\w.])"  # whole, not reserved
+_NUM = r"[\d.]+(?:[eE][+-]?\d+)?(?![\w.])"  # whole; float may reject it (1.2.3) or give inf
+_SPAN = r"[\w.](?:[\w.*+ \t\r-]*[\w.])?"  # an expression's extent; _TERMS reads it
+_PIECE = re.compile(  # a statement takes its trailing blanks: two runs in a row backtrack in n²
+    rf"""{_B}(?:(?:(?P<observe>observe)\b{_B}(?P<lhs>{_SPAN}){_B}=={_B}(?P<rhs>{_SPAN})
+      | return\b{_B}(?P<names>{_NAME}(?:{_B},{_B}{_NAME})*)
+      | (?P<name>{_NAME}){_B}(?:={_B}(?P<expr>{_SPAN}) | ~{_B}(?:(?P<uniform>uniform){_B}\({_B}\)
+          | (?P<normal>normal){_B}\({_B}(?P<mean>{_SPAN}){_B},{_B}(?P<var>{_NUM}){_B}\))))
+      {_B})?(?:\#[^\n]*)?(?P<end>[;\n]|\Z)""",
+    re.VERBOSE,
+)
+# a term and its sign: as no number or name runs on into the next character, the terms
+# tile an expression, or the rest is one match of no group (findall never searches)
+_TERMS = re.compile(rf"({_B}[+-]{_B}|)(?:({_NUM})(?:({_B}\*{_B})({_NAME}))?|({_NAME}))|.+")
+_WORDS = re.compile(_WORD)
+
+
+def _scan_expr(text: str, m: re.Match, group: str, line: int, base: int) -> Optional[Expr]:
+    """``m``'s ``group`` as an expression, columns from the lengths of the groups
+    (``base`` is the index before the line); ``None`` at a gap or an overflow."""
+    terms, (at, end) = [], m.span(group)
+    for sep, num, star, var, name in _TERMS.findall(text, at, end):
+        at += len(sep) + len(num) + len(star) if var else len(sep)
+        c = float(num) if num else 1.0
+        if c == math.inf:
+            return None
+        terms.append(Term(-c if "-" in sep else c, var or name or None, line, at - base))
+        at += len(var or name or num)
+    return Expr(tuple(terms), line, m.start(group) - base) if at == end else None
+
+
+def _scan(text: str) -> Optional[Program]:
+    """The program, one piece (the text between line breaks and ``;``, less its
+    comment) per statement; ``None`` hands the text to the token parser: non-ASCII
+    text, parentheses, a statement across pieces, or any piece that does not match."""
+    if not text.isascii():
+        return None
+    statements, returns, pos, line, base = [], (), 0, 1, -1
+    try:
+        while m := _PIECE.match(text, pos):
+            name, lhs, names, end = m.group("name", "lhs", "names", "end")
+            if (stated := name or lhs or names) and returns or end == ";" and not (stated or statements):
+                return None
+            if m["uniform"]:
+                dist = UniformDist(line, m.start("uniform") - base)
+                statements.append(Sample(name, dist, line, m.start("name") - base))
+            elif name:
+                expr = _scan_expr(text, m, "expr" if m["expr"] else "mean", line, base)
+                variance, col = float(m["var"] or 0), m.start("name") - base
+                if expr is None or variance == math.inf:
+                    return None
+                statements.append(Assign(name, expr, line, col) if m["expr"] else Sample(
+                    name, NormalDist(expr, variance, line, m.start("normal") - base), line, col))
+            elif lhs:
+                lhs, rhs = _scan_expr(text, m, "lhs", line, base), _scan_expr(text, m, "rhs", line, base)
+                if lhs is None or rhs is None:
+                    return None
+                statements.append(Observe(lhs, rhs, line, m.start("observe") - base))
+            elif names:
+                returns = tuple(Ident(w[0], line, w.start() - base)
+                                for w in _WORDS.finditer(text, m.start("names"), m.end("names")))
+            if end == "\n":
+                line, base = line + 1, m.end() - 1
+            elif not end:
+                return Program(tuple(statements), returns) if returns else None
+            pos = m.end()
+    except ValueError:  # a number float rejects, such as 1.2.3
+        pass
+    return None
+
+
+def parse(text: str) -> Program:
+    """Parse source text into a program AST, by the scanner or, for a text it hands
+    back, by the token parser: the one source of :class:`ParseError`, with a 1-based
+    (line, column) position.  Scope and shape violations are :func:`typecheck`'s."""
+    return _scan(text) or _parse_tokens(text)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bad.gx:1:" in err
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_unclosed_deep_nest_exit_code(self, tmp_path, capsys, command):
+        # 2,000 open parentheses and one fewer closed: a parse error with
+        # its position, not a RecursionError traceback
+        path = tmp_path / "deep.gx"
+        path.write_text("x = " + "(" * 2000 + "1" + ")" * 1999 + "\nreturn x\n")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "deep.gx:2:1: expected ')', found 'return'" in captured.err
+
     def test_check_subcommand(self, tmp_path, exact_file, capsys):
         assert main(["check", exact_file]) == 0
         assert "ok" in capsys.readouterr().out

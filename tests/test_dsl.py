@@ -115,6 +115,23 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x ~ normal(0,1)\n")
 
+    def test_deep_parentheses_parse(self):
+        # x = 1 - (2 - (3 - ... (2000))): each parenthesis flips the sign of
+        # what it holds, at a depth no recursive parser reaches
+        depth = 2000
+        text = "x = " + "".join(f"{k} - (" for k in range(1, depth)) + f"{depth}" + ")" * (depth - 1)
+        program = parse(text + "\nreturn x")
+        terms = tuple(Term(float((-1) ** (k - 1) * k), None) for k in range(1, depth + 1))
+        assert program == Program((Assign("x", Expr(terms)),), (Ident("x"),))
+        last = program.statements[0].expr.terms[-1]
+        assert (last.line, last.col) == (1, text.index(f"({depth})") + 2)
+        assert program.returns[0].line == 2
+
+    def test_unclosed_deep_parentheses_report_their_position(self):
+        text = "x = " + "(" * 2000 + "1" + ")" * 1999 + "\nreturn x"
+        with pytest.raises(ParseError, match="^2:1: expected '\\)', found 'return'$"):
+            parse(text)
+
 
 class TestTypecheck:
     def test_redefinition(self):

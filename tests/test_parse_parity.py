@@ -12,6 +12,7 @@ the fuzzing.
 
 import ast
 import itertools
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extgauss import dsl
 from extgauss.dsl import (
     RESERVED,
     Assign,
@@ -260,6 +262,15 @@ def _outcome(parse_text, text):
 
 def _assert_parity(text):
     assert _outcome(parse, text) == _outcome(_reference_parse, text), repr(text)
+    _assert_scanner_agrees_or_declines(text)
+
+
+def _assert_scanner_agrees_or_declines(text):
+    # parse tries the scanner first: where it takes a text, its AST must be
+    # the token parser's, positions and signs of zero included
+    program = dsl._scan(text)
+    if program is not None:
+        assert repr(program) == _outcome(dsl._parse_tokens, text), repr(text)
 
 
 @pytest.mark.parametrize("workload", ["chain", "mix", "flatreg"])
@@ -319,14 +330,19 @@ FRAGMENTS = [
     "0", "1", "2.5", ".5", "1e", "1e-3", "1E+2", "1e400", "1.2.3", "٣", "²",
     "==", "~", "=", "+", "-", "*", "(", ")", ",", ";", ".", "$",
     " ", "\t", "\n", "\r\n", "# note", "#",
+    # what the scanner must read as the tokens do, or hand back
+    "2 * x", "2*\nx", "x~normal(0,1)", ";;", "x-1", "1.*x", "1e5x", "0 - 0*x",
+    "observe(x)==1", "returnx", "observex == 1", "normalx ~ uniform()",
 ]
 
 STATEMENTS = [
     "x ~ normal(0, 1)", "y ~ uniform()", "z = 2*x - (y - .5)", "observe x + y == 1e-3",
     "é = ٣*x - (0 - (y + 2))", "w ~ normal(x, 2.5e2)", "observe (x) == 0 - y",
+    "x~normal(0,1)", "u = 2 * x", "v = 2*\nx", "t = x-1", "s = 1.*x", "n = 0 - 0*x",
+    "observe(x)==1", "normalx ~ uniform()", "returnx = 1e5 - x",
 ]
 
-SEPARATORS = [";", "\n", "\r\n", " # note\n", "\t", "  ", ";\n", ""]
+SEPARATORS = [";", "\n", "\r\n", " # note\n", "\t", "  ", ";\n", "", ";;"]
 
 
 def _fuzz(examples):
@@ -354,3 +370,107 @@ def test_character_soup(text):
 def test_statement_soup(statements, returns, tail):
     # mostly well-formed programs, so that positions are compared on ASTs
     _assert_parity("".join(s + sep for s, sep in statements) + returns + tail)
+
+
+# The scanner must take the common texts, or it keeps parity and loses its
+# speed: a scanner that always hands back would pass every test above.
+
+
+@pytest.mark.parametrize("workload", ["chain", "mix", "flatreg"])
+def test_scanner_takes_the_bench_programs(workload):
+    for seed in (1, 2, 3):
+        for models in itertools.islice(workloads.rounds(workload, seed), 2):
+            for model in models:
+                assert dsl._scan(workloads.render(model)) is not None
+
+
+def test_scanner_takes_the_random_observed_sources():
+    # the random programs of test_test_dsl_sources, overflowing ones included
+    texts = [_random_observed_source(np.random.default_rng(8200 + seed))[0] for seed in range(60)]
+    for seed in range(40):
+        rng = np.random.default_rng(8300 + seed)
+        conflicts, overflows = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        texts.append(_random_observed_source(rng, conflicts, overflows)[0])
+    for text in texts:
+        assert dsl._scan(text) is not None, repr(text)
+
+
+def test_scanner_takes_the_parenthesis_free_statements():
+    # every ASCII statement on one line with no parentheses but a
+    # distribution's, one after another on every separator that ends a
+    # statement, then each return statement
+    plain = [s for s in STATEMENTS if s.isascii() and "\n" not in s
+             and "(" not in s.replace("normal(", "").replace("uniform(", "")]
+    assert len(plain) >= 10
+    ends = [sep for sep in SEPARATORS if ";" in sep or "\n" in sep]
+    for sep, returns in itertools.product(ends, ["return x", "return x, y", "return x;", "return x # end"]):
+        for statements in [plain, plain[::-1], plain[:1]]:
+            text = sep.join(statements) + sep + returns
+            assert dsl._scan(text) is not None, repr(text)
+            _assert_parity(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # terms that touch: a name, a number or a reserved word runs on
+        "x = y2.5\nreturn x", "x = 2x\nreturn x", "x = 1e5x\nreturn x", "x = 2*x.5\nreturn x",
+        "x = 1.2.3\nreturn x", "x = y.\nreturn x", "x = 1..5\nreturn x", "x = e-3\nreturn x",
+        "x = .\nreturn x", "x = 1 + .*y\nreturn x", "x ~ normal(0, 1..5)\nreturn x", "x ~ normal(.., 1)\nreturn x",
+        "x = 2e-y\nreturn x", "x = 1_0\nreturn x", "x = 2*normal\nreturn x", "x = uniform\nreturn x",
+        "return = 1\nreturn x", "observe = 1\nreturn x", "x = 1\nreturn normal", "observe.5 == x\nreturn x",
+        "observex == 1\nreturn x", "observe1 == x\nreturn x", "x = 1\nreturnx", "normalx ~ uniform()\nreturn x",
+        # numbers float rejects or cannot hold, and the largest it can
+        "x = 1e400*y\nreturn x", "x = " + "9" * 400 + "\nreturn x", "x ~ normal(0, 1e400)\nreturn x",
+        "x ~ normal(1e309, 1)\nreturn x", "x ~ normal(0, " + "9" * 400 + ")\nreturn x",
+        "x = 1e308*y + 1.7976931348623157e308\nreturn x", "x = 1e-400 + 1e+5 - 2E-3*y\nreturn x",
+        # statements across pieces, and pieces that are not one statement
+        "x = 1 y = 2\nreturn x", "x = 1\n- y\nreturn x", "x = 2\n*y\nreturn x", "x = 1 +\n2\nreturn x",
+        "observe x\n== 1\nreturn x", "x ~ normal(0,\n1)\nreturn x", "x = 1\nreturn x\n, y",
+        "x = -1\nreturn x", "x == 1\nreturn x", "observe x == 1 == 2\nreturn x", "x = 1\nreturn x y",
+        # separators, comments and blanks
+        "; x = 1\nreturn x", "\n;x = 1\nreturn x", "x = 1;;\n;return x;;", "return x;\n;", "; return x",
+        "x = 1\nreturn x\ny = 2", "return x\nreturn y", "x = 1 # c; y = 2\nreturn x", "x=1;y=x;return x,y",
+        "x = 1\r\nreturn x\r\n", "x = 1\rreturn x", "x\f= 1\nreturn x", "x =\v1\nreturn x",
+        "x = 1\n\n  \t\nreturn x # end", "x = 1\nreturn x #", "#\nx = 1\nreturn x",
+    ],
+)
+def test_scanner_edge_cases(text):
+    # each guard of the scanner: without it, it takes one of these texts
+    # and reads it otherwise than the tokens do
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x = 1" + " " * 40_000 + "y\nreturn x",  # a gap after a long blank run in an expression
+        "x = " + "1" * 40_000 + "x\nreturn x",  # a long number that runs on into a name
+        "x = " + "a" * 40_000 + ".\nreturn x",  # a long name that runs on into a dot
+        " " * 40_000 + "$",  # a long blank piece, then a character no piece takes
+    ],
+)
+def test_scanner_time_is_linear(text):
+    # a scanner that searched on past a gap, or that let two blank runs meet,
+    # took 10 to 60 s on each of these; both parsers take milliseconds
+    start = time.perf_counter()
+    _outcome(parse, text)
+    assert time.perf_counter() - start < 1.0
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x = " + "(" * 300 + "1" + ")" * 300 + "\nreturn x",
+        "x = " + "(" * 300 + "1" + ")" * 299 + "\nreturn x",
+        "x = " + "(" * 300 + "1" + ")" * 301 + "\nreturn x",
+        "x = 0 - " + "(y - " * 300 + "2*z" + ")" * 300 + "; return x",
+        "x = " + "(" * 300 + ")" * 300 + "\nreturn x",
+        "x = " + "(1 + " * 300 + "\nreturn x",
+    ],
+)
+def test_nested_parentheses(text):
+    # deep enough to exercise the stack of signs, shallow enough for the
+    # recursive reference parser
+    _assert_parity(text)
