@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -48,79 +48,94 @@ class TypeCheckError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST.  The nodes are named tuples, which build at less than half the cost of
+# frozen dataclasses (a program builds hundreds).  A node equals a node of its
+# own class whose fields before ``line`` and ``col`` are equal, and has no order.
 
 
-@dataclass(frozen=True)
-class Term:
+def _unordered(a, b):
+    raise TypeError(f"{type(a).__name__} nodes are not ordered")
+
+
+def _node(cls):
+    k = len(cls._fields) - 2 * ("line" in cls._fields)  # the fields that compare
+    cls.__eq__ = lambda a, b: type(b) is type(a) and a[:k] == b[:k]
+    cls.__ne__ = lambda a, b: type(b) is not type(a) or a[:k] != b[:k]
+    cls.__hash__ = lambda a: hash(a[:k])
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
+    return cls
+
+
+@_node
+class Term(NamedTuple):
     """One summand of an affine expression: ``coeff * var`` or a literal."""
 
     coeff: float
     var: Optional[str]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Expr:
+@_node
+class Expr(NamedTuple):
     terms: tuple[Term, ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class NormalDist:
+@_node
+class NormalDist(NamedTuple):
     mean: Expr
     variance: float
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class UniformDist:
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+@_node
+class UniformDist(NamedTuple):
+    line: int = 0
+    col: int = 0
 
 
 Dist = Union[NormalDist, UniformDist]
 
 
-@dataclass(frozen=True)
-class Sample:
+@_node
+class Sample(NamedTuple):
     name: str
     dist: Dist
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Assign:
+@_node
+class Assign(NamedTuple):
     name: str
     expr: Expr
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Observe:
+@_node
+class Observe(NamedTuple):
     lhs: Expr
     rhs: Expr
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
 Stmt = Union[Sample, Assign, Observe]
 
 
-@dataclass(frozen=True)
-class Ident:
+@_node
+class Ident(NamedTuple):
     name: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
-class Program:
+@_node
+class Program(NamedTuple):
     statements: tuple[Stmt, ...]
     returns: tuple[Ident, ...]
 
@@ -676,17 +691,13 @@ def _format_expr(expr: Expr) -> str:
         return "0"
     parts = []
     for i, term in enumerate(expr.terms):
-        coeff = term.coeff
-        if i == 0:
-            sign = ""
-            if coeff < 0 or (coeff == 0 and np.signbit(coeff)):
-                # the grammar has no unary minus; re-enter it via "0 - ..."
+        coeff = abs(term.coeff)
+        if math.copysign(1.0, term.coeff) < 0:  # -0.0 too
+            sign = " - "
+            if i == 0:  # the grammar has no unary minus; re-enter it via "0 - ..."
                 parts.append("0")
-                sign = " - "
-                coeff = -coeff
         else:
-            sign = " - " if coeff < 0 else " + "
-            coeff = abs(coeff)
+            sign = " + " if i else ""
         if term.var is None:
             parts.append(f"{sign}{_format_number(coeff)}")
         elif coeff == 1.0:
