@@ -508,27 +508,26 @@ class _Lowered:
     order: ``w = [mean | f | g]``, viewed as the ``mean``, the Gaussian
     part's factor ``f`` (N by V, covariance ``f fᵀ``) and the generator
     ``g`` of the nondeterminism (N by U), the first ``v`` and ``u`` columns in
-    use; ``mag``, each entry of ``g``'s magnitude before cancellation (its
-    terms' magnitudes summed, 0 for residue); ``top``, each column's max |g|."""
+    use; ``top``, each column's max |g|.  No entry's magnitude before
+    cancellation is stored: each statement takes it from its own terms."""
 
-    __slots__ = ("w", "mean", "f", "g", "mag", "top", "v", "u")
+    __slots__ = ("w", "mean", "f", "g", "top", "v", "u")
 
     def __init__(self, size: int, normals: int, uniforms: int):
         w = self.w = np.zeros((size, 1 + normals + uniforms))
         self.mean, self.f, self.g = w[:, 0], w[:, 1 : 1 + normals], w[:, 1 + normals :]
-        self.mag, self.top = np.zeros((size, uniforms)), np.zeros(uniforms)
-        self.v = self.u = 0
+        self.top, self.v, self.u = np.zeros(uniforms), 0, 0
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
     {coordinate: residual coefficient}, value)``, or write a definition's row
-    of ``w``, ``c @ w[idx]`` over the rows ``idx`` it reads, and of ``mag``,
-    ``|c| @ mag[idx]``; a positive variance v adds a column of ``f``.  A
-    column of ``g`` and ``mag`` is rescaled by a power of two, exactly, when
-    the row moves its ``top`` out of [0.5, 1).  The row of ``g``, the mean
-    and the variance ``‖f[n]‖² + v`` (as ``cov``) are checked, so numpy's
-    overflow warnings may be off."""
+    of ``w``, ``c @ w[idx]`` over the rows ``idx`` it reads, its ``g`` part
+    cut of the residue below its terms' magnitude ``|c| @ |g[idx]|``; a
+    positive variance v adds a column of ``f``.  A column of ``g`` is rescaled
+    by a power of two, exactly, when the row moves its ``top`` out of [0.5,
+    1).  The row of ``g``, the mean and the variance ``‖f[n]‖² + v`` (as
+    ``cov``) are checked, so numpy's overflow warnings may be off."""
     n = len(index)
     try:
         if isinstance(stmt, Observe):
@@ -539,7 +538,7 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
         if isinstance(dist, UniformDist):  # mean and f stay 0: a unit column of g
-            s.g[n, s.u] = s.mag[n, s.u] = s.top[s.u] = 1.0
+            s.g[n, s.u] = s.top[s.u] = 1.0
             index[stmt.name], s.u = n, s.u + 1
             return
         acc, const = _affine(dist.mean, index, f"expression for {stmt.name!r}")
@@ -551,16 +550,15 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             idx, c = list(acc), np.array(list(acc.values()))
             row[:] = c.dot(s.w.take(idx, axis=0))
         if u:
-            g, mag, top = s.g[: n + 1, :u], s.mag[: n + 1, :u], s.top[:u]
+            g, top = s.g[: n + 1, :u], s.top[:u]
             if acc:
-                s.mag[n] = np.abs(c).dot(s.mag.take(idx, axis=0))
                 if np.count_nonzero(np.isfinite(g[n])) < u:
                     raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
-                _drop_residue(g[n], mag[n], tol)
+                _drop_residue(g[n], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
                 np.maximum(top, np.abs(g[n]), out=top)
             e = np.frexp(top)[1]
             if np.count_nonzero(e):  # the exponents frexp gives of the column maxima
-                for a in (g, mag, top):
+                for a in (g, top):
                     np.ldexp(a, -e, out=a)
         row[0] += const
         f = s.f[n, : s.v]
@@ -588,7 +586,7 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         y = p @ s.w[:n]
         mean, f_y, g_y = y[:, 0], y[:, 1 : 1 + s.v], y[:, g0 : g0 + s.u]
-        mag = np.abs(p) @ s.mag[:n, : s.u]
+        mag = np.abs(p) @ np.abs(s.g[:n, : s.u])
         _drop_residue(g_y, mag, tol)
         scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
 
@@ -617,23 +615,25 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
 def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> _Lowered:
     """For the overflow retries: fresh arrays of ``s``'s size whose first
     ``n`` coordinates hold ``s`` conditioned on ``pending``: ``f`` the
-    posterior's factor and ``g`` its orthonormal basis, each row with the
-    largest magnitude of the coordinate's old row, so that the residue of
-    the conditioning is dropped and a small row is kept."""
+    posterior's factor and ``g`` its orthonormal basis, each row cut of the
+    residue below the largest |g| of the coordinate's old row, so that the
+    residue of the conditioning is dropped and a small row is kept."""
     post, fac = _condition(s, n, pending, range(n), tol, at)
     t, b = _Lowered(len(s.w), s.f.shape[1], s.g.shape[1]), post.nondet.basis
     t.v, t.u = s.v, b.shape[1]
     t.mean[:n], t.f[:n, : fac.shape[1]], t.g[:n, : t.u] = post.mean, fac, b
-    t.mag[:n, : t.u] = s.mag[:n, : s.u].max(axis=1, initial=0.0)[:, None]
-    _drop_residue(t.g[:n, : t.u], t.mag[:n, : t.u], tol)
+    old = np.abs(s.g[:n, : s.u]).max(axis=1, initial=0.0)
+    _drop_residue(t.g[:n, : t.u], np.repeat(old[:, None], t.u, axis=1), tol)
     t.top[: t.u] = np.abs(t.g[:n, : t.u]).max(axis=0, initial=0.0)
     return t
 
 
 def _drop_residue(g, mag, tol: Tolerance) -> None:
     """Zero, in place, each entry of ``g`` below ``rank_rel_tol`` times its
-    magnitude ``mag``, and that magnitude: cancellation residue, or a
-    magnitude that overflowed.  An entry of ``g`` that overflowed stays."""
+    magnitude ``mag`` (its terms' in the statement that made it), and that
+    magnitude: cancellation residue, or a magnitude that overflowed.  An entry
+    of ``g`` that overflowed stays.  Noise built up over several statements,
+    each cancelling above the cut, is not caught."""
     res = np.abs(g) < tol.rank_rel_tol * mag
     g[res] = mag[res] = 0.0
 
