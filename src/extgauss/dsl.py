@@ -523,11 +523,13 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     """Run one statement: defer an observation to ``pending`` as ``(statement,
     {coordinate: residual coefficient}, value)``, or write a definition's row
     of ``w``, ``c @ w[idx]`` over the rows ``idx`` it reads, its ``g`` part
-    cut of the residue below its terms' magnitude ``|c| @ |g[idx]|``; a
-    positive variance v adds a column of ``f``.  A column of ``g`` is rescaled
-    by a power of two, exactly, when the row moves its ``top`` out of [0.5,
-    1).  The row of ``g``, the mean and the variance ``‖f[n]‖² + v`` (as
-    ``cov``) are checked, so numpy's overflow warnings may be off."""
+    cut of the residue below its terms' magnitude ``|c| @ |g[idx]|`` (not if
+    it reads one row: one product's ``|c g|`` is that magnitude, and
+    ``rank_rel_tol < 1``); a positive variance v adds a column of ``f``.  A
+    column of ``g`` is rescaled by a power of two, exactly, when the row
+    moves its ``top`` out of [0.5, 1).  The row of ``g``, the mean and the
+    variance ``‖f[n]‖² + v`` (as ``cov``) are checked, so numpy's overflow
+    warnings may be off."""
     n = len(index)
     try:
         if isinstance(stmt, Observe):
@@ -554,7 +556,8 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             if acc:
                 if np.count_nonzero(np.isfinite(g[n])) < u:
                     raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
-                _drop_residue(g[n], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
+                if len(idx) > 1:  # one product's |c g| is its own magnitude |c| |g|
+                    _drop_residue(g[n], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
                 np.maximum(top, np.abs(g[n]), out=top)
             e = np.frexp(top)[1]
             if np.count_nonzero(e):  # the exponents frexp gives of the column maxima
@@ -579,9 +582,8 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
     none; an overflow there is retried after the rows before it."""
     k, g0 = len(pending), 1 + s.f.shape[1]  # g's first column in w
     p = np.zeros((k + len(rows), n))
-    for i, (_, row, _) in enumerate(pending):
-        p[i, list(row)] = list(row.values())
-    p[np.arange(k, len(p)), rows] = 1.0
+    ps = [row for _, row, _ in pending] + [{j: 1.0} for j in rows]
+    p.put([i * n + j for i, row in enumerate(ps) for j in row], [c for row in ps for c in row.values()])
     value = np.array([v for _, _, v in pending])
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
         y = p @ s.w[:n]
@@ -591,7 +593,7 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
         scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
 
     def prefix(j):  # the first j observed rows and the returned rows
-        keep = np.r_[:j, k : len(p)]
+        keep = slice(None) if j == k else np.r_[:j, k : len(p)]
         return _condition_rows(mean[keep], f_y[keep], g_y[keep], j, value[:j],
                                mag[keep].max(axis=1, initial=0.0), tol, scale)
 

@@ -304,20 +304,21 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     ``mean_r + h (value - mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``,
     extended by 0 off U_s."""
     e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
-    (g_o, g_r), (e_o, e_r) = np.split(np.ldexp(g, -e[:, None]), [k]), np.split(e, [k])
+    g = np.ldexp(g, -e[:, None])
+    g_o, g_r, e_o, e_r = g[:k], g[k:], e[:k], e[k:]
     u, s, vt = _svd(g_o)
-    q = int(np.sum(s > tol.rank_rel_tol))
+    q = np.count_nonzero(s > tol.rank_rel_tol)
     h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
     ue, se, _ = _svd(g_r @ vt[q:].T, full_matrices=False)
-    eta = _fix_signs(ue[:, :int(np.sum(se > tol.rank_rel_tol))])
+    eta = _fix_signs(ue[:, :np.count_nonzero(se > tol.rank_rel_tol)])
     eta, perp = _scaled_basis(eta, e_r), _scaled_basis(u[:, q:], -e_o)
-    (f_o, f_r), resid = np.split(f, [k]), value - mean[:k]
+    f_o, f_r, resid = f[:k], f[k:], value - mean[:k]
     a, b = perp.T @ f_o, perp.T @ resid
     with np.errstate(over="ignore"):  # dominant column first, or the SVD cancels in V_perp
         order = np.argsort(-np.linalg.norm(a, axis=0), kind="stable")
     a, f_o, f_r = a[:, order], f_o[:, order], f_r[:, order]
     ua, sa, vta = _svd(a)
-    rank = int(np.sum(sa > math.sqrt(tol.rank_rel_tol) * max(float(sa.max(initial=0.0)), anchor)))
+    rank = np.count_nonzero(sa > math.sqrt(tol.rank_rel_tol) * max(float(sa.max(initial=0.0)), anchor))
     us, coef = ua[:, :rank], ua[:, :rank].T @ b
     r = len(e_r)  # off eta with no SVD of its complement; exactly 0 if eta is everything
     p = np.eye(r) - eta @ eta.T if eta.shape[1] < r else np.zeros((r, r))
@@ -332,7 +333,7 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
 def _scaled_basis(basis, e):
     """A sign-canonical orthonormal basis of ``col(2^e basis)`` for an
     orthonormal ``basis``, by one thin SVD with no rank cut if it is not one."""
-    if basis.shape[1] < basis.shape[0] and np.ptp(e):
+    if basis.shape[1] < basis.shape[0] and e.max() != e.min():
         basis = _svd(np.ldexp(basis, e[:, None]), full_matrices=False)[0]
     return _fix_signs(basis)
 

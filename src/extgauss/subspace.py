@@ -37,7 +37,8 @@ import numpy as np
 class Tolerance:
     """Numerical thresholds used throughout the package.
 
-    rank_rel_tol: relative singular-value cutoff for rank decisions.
+    rank_rel_tol: relative singular-value cutoff for rank decisions, in (0, 1):
+    a cutoff at or above 1 would cut every rank.
     eq_abs_tol: absolute entrywise bound for comparisons and membership.
     """
 
@@ -45,8 +46,8 @@ class Tolerance:
     eq_abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.rank_rel_tol < math.inf and 0 < self.eq_abs_tol < math.inf):
-            raise ValueError("tolerances must be finite and strictly positive")
+        if not (0 < self.rank_rel_tol < 1 and 0 < self.eq_abs_tol < math.inf):
+            raise ValueError("rank_rel_tol must be in (0, 1), eq_abs_tol finite and positive")
 
 
 DEFAULT_TOL = Tolerance()

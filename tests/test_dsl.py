@@ -32,7 +32,7 @@ from extgauss.subspace import Subspace, Tolerance
 
 from _gen import LOOSE_RANK, gauss_observe_oracle, span_above
 from test_extended import _max_gap, _reference_interpret
-from test_linalg_budget import _count_factorizations
+from test_linalg_budget import _chain_program, _count_factorizations
 
 EXAMPLE_2_1 = (
     "x1 ~ normal(0,1); x2 ~ normal(0,1); y ~ uniform(); "
@@ -615,6 +615,34 @@ class TestArrayLowering:
             top = np.abs(s.g[:n, : s.u]).max(axis=0, initial=0.0)
             assert np.all((top == 0.0) | ((0.5 <= top) & (top <= 1.0))), top
             np.testing.assert_array_equal(s.top[: s.u], top)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+                    min_size=1, max_size=4),
+           st.data(),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_a_one_term_row_loses_nothing_to_the_residue_cut(self, c, w, data, rank_rel_tol):
+        # |fl(c g)| = fl(|c| |g|) for one product, so the row is its own
+        # magnitude and a cut below 1 keeps every entry: _step skips it
+        j = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
+        c, w = np.array([c]), np.array(w)
+        with np.errstate(over="ignore"):
+            g = c.dot(w.take([j], axis=0))
+            mag = np.abs(c).dot(np.abs(w.take([j], axis=0)))
+        before = g.copy()
+        dsl._drop_residue(g, mag, Tolerance(rank_rel_tol=rank_rel_tol))
+        assert g.tobytes() == before.tobytes()
+
+    def test_the_definitions_of_a_chain_make_no_residue_cut(self, monkeypatch):
+        # every definition of a chain reads one row; only the conditioner cuts
+        calls, before = [], []
+        drop, condition = dsl._drop_residue, dsl._condition
+        monkeypatch.setattr(dsl, "_drop_residue", lambda *args: calls.append(1) or drop(*args))
+        monkeypatch.setattr(dsl, "_condition",
+                            lambda *args: before.append(len(calls)) or condition(*args))
+        interpret(parse(_chain_program(12)))
+        assert before == [0] and len(calls) == 1
 
 
 def _steep_source(rng) -> str:

@@ -16,6 +16,7 @@ from extgauss.extended import ExtendedGaussian, observe
 from extgauss.gauss import GaussianMap
 from extgauss.subspace import Subspace, image
 
+from test_bench_oracle import workloads
 from test_extended import _NONDET_SHAPES, _conditional_case
 
 STEPS = 12
@@ -288,3 +289,26 @@ def test_image_makes_one_factorization(monkeypatch):
     counts = _count_factorizations(monkeypatch)
     assert image(a, u).dim == 3
     assert counts == {"svd": 1}
+
+
+class _Forbidden:
+    """Stands in for a numpy helper and raises when called or indexed."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"numpy.{self.name} was used")
+
+    __getitem__ = __call__
+
+
+@pytest.mark.parametrize("workload", ["chain", "mix", "flatreg"])
+def test_interpret_uses_no_numpy_python_helper(monkeypatch, workload):
+    # per call, numpy's Python-level split, ptp and r_ cost more than the
+    # small arrays they work on; the engine slices, and compares max and min
+    programs = [parse(workloads.render(m)) for m in next(workloads.rounds(workload, 1))]
+    for name in ("split", "ptp", "r_"):
+        monkeypatch.setattr(np, name, _Forbidden(name))
+    for program in programs:
+        interpret(program)

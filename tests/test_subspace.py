@@ -279,7 +279,7 @@ class TestLatticeProperties:
         assert lhs == rhs
 
 
-@settings(deadline=None, max_examples=50)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.data())
 def test_annihilator_involutive_hypothesis(data):
     n = data.draw(st.integers(min_value=0, max_value=5))
@@ -290,7 +290,7 @@ def test_annihilator_involutive_hypothesis(data):
     assert u.annihilator().annihilator() == u
 
 
-@settings(deadline=None, max_examples=50)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.data())
 def test_projector_canonical_under_respan_hypothesis(data):
     # spanning the same vectors with extra multiples gives the same projector
@@ -330,6 +330,10 @@ class TestToleranceAndSerialization:
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 Tolerance(eq_abs_tol=bad)
+            with pytest.raises(ValueError):
+                Tolerance(rank_rel_tol=bad)
+        # a relative cutoff at or above 1 cuts every rank
+        for bad in (1.0, 2.0):
             with pytest.raises(ValueError):
                 Tolerance(rank_rel_tol=bad)
 
