@@ -508,15 +508,16 @@ class _Lowered:
     order: ``w = [mean | f | g]``, viewed as the ``mean``, the Gaussian
     part's factor ``f`` (N by V, covariance ``f fᵀ``) and the generator
     ``g`` of the nondeterminism (N by U), the first ``v`` and ``u`` columns in
-    use; ``top``, each column's max |g|.  No entry's magnitude before
-    cancellation is stored: each statement takes it from its own terms."""
+    use, each with its largest entry in [0.5, 1) after every statement.  No
+    entry's magnitude before cancellation is stored: each statement takes it
+    from its own terms."""
 
-    __slots__ = ("w", "mean", "f", "g", "top", "v", "u")
+    __slots__ = ("w", "mean", "f", "g", "v", "u")
 
     def __init__(self, size: int, normals: int, uniforms: int):
         w = self.w = np.zeros((size, 1 + normals + uniforms))
         self.mean, self.f, self.g = w[:, 0], w[:, 1 : 1 + normals], w[:, 1 + normals :]
-        self.top, self.v, self.u = np.zeros(uniforms), 0, 0
+        self.v = self.u = 0
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
@@ -526,10 +527,10 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
     cut of the residue below its terms' magnitude ``|c| @ |g[idx]|`` (not if
     it reads one row: one product's ``|c g|`` is that magnitude, and
     ``rank_rel_tol < 1``); a positive variance v adds a column of ``f``.  A
-    column of ``g`` is rescaled by a power of two, exactly, when the row
-    moves its ``top`` out of [0.5, 1).  The row of ``g``, the mean and the
-    variance ``‖f[n]‖² + v`` (as ``cov``) are checked, so numpy's overflow
-    warnings may be off."""
+    ``uniform()`` enters at 0.5, so only a new row can reach 1: where it does,
+    a power of two rescales its columns, exactly, into [0.5, 1).  The row of
+    ``g``, the mean and the variance ``‖f[n]‖² + v`` (as ``cov``) are
+    checked, so numpy's overflow warnings may be off."""
     n = len(index)
     try:
         if isinstance(stmt, Observe):
@@ -539,8 +540,8 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
             pending.append((stmt, *_finite(lhs, r0 - l0, index, "observed residual")))
             return
         dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
-        if isinstance(dist, UniformDist):  # mean and f stay 0: a unit column of g
-            s.g[n, s.u] = s.top[s.u] = 1.0
+        if isinstance(dist, UniformDist):  # mean and f stay 0: a new column of g
+            s.g[n, s.u] = 0.5
             index[stmt.name], s.u = n, s.u + 1
             return
         acc, const = _affine(dist.mean, index, f"expression for {stmt.name!r}")
@@ -551,18 +552,15 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
         if acc:  # take and dot: a third of the cost of fancy indexing and @
             idx, c = list(acc), np.array(list(acc.values()))
             row[:] = c.dot(s.w.take(idx, axis=0))
-        if u:
-            g, top = s.g[: n + 1, :u], s.top[:u]
-            if acc:
-                if np.count_nonzero(np.isfinite(g[n])) < u:
-                    raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
-                if len(idx) > 1:  # one product's |c g| is its own magnitude |c| |g|
-                    _drop_residue(g[n], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
-                np.maximum(top, np.abs(g[n]), out=top)
-            e = np.frexp(top)[1]
-            if np.count_nonzero(e):  # the exponents frexp gives of the column maxima
-                for a in (g, top):
-                    np.ldexp(a, -e, out=a)
+        if u and acc:
+            g = s.g[: n + 1, :u]
+            if len(idx) > 1:  # one product's |c g| is its own magnitude |c| |g|
+                _drop_residue(g[n], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
+            top = np.maximum.reduce(np.abs(g[n]))  # NaN if any entry is
+            if not top < math.inf:
+                raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
+            if top >= 1.0:  # the columns this row leads, back into [0.5, 1)
+                np.ldexp(g, -np.maximum(np.frexp(g[n])[1], 0), out=g)
         row[0] += const
         f = s.f[n, : s.v]
         _check_finite(mean=row[0], cov=f.dot(f) + variance)
@@ -610,24 +608,27 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
         except (InfeasibleObservation, NonFiniteInput) as exc:
             bad, err = mid, exc
     if ok and isinstance(err, NonFiniteInput):
-        return _condition(_refill(s, n, pending[:ok], tol, at), n, pending[ok:], rows, tol, at)
+        _refill(s, n, pending[:ok], tol, at)
+        return _condition(s, n, pending[ok:], rows, tol, at)
     raise _at(pending[ok][0] if pending else at, err) from err
 
 
-def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> _Lowered:
-    """For the overflow retries: fresh arrays of ``s``'s size whose first
-    ``n`` coordinates hold ``s`` conditioned on ``pending``: ``f`` the
-    posterior's factor and ``g`` its orthonormal basis, each row cut of the
-    residue below the largest |g| of the coordinate's old row, so that the
-    residue of the conditioning is dropped and a small row is kept."""
-    post, fac = _condition(s, n, pending, range(n), tol, at)
-    t, b = _Lowered(len(s.w), s.f.shape[1], s.g.shape[1]), post.nondet.basis
-    t.v, t.u = s.v, b.shape[1]
-    t.mean[:n], t.f[:n, : fac.shape[1]], t.g[:n, : t.u] = post.mean, fac, b
+def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> None:
+    """The overflow flush: the first ``n`` coordinates of ``s`` conditioned on
+    ``pending``, in place.  All of ``w`` is zeroed, as the posterior may fill
+    fewer columns than the old rows did and the overflowing statement may have
+    half-written its row.  It then holds the posterior: ``f`` its factor and
+    ``g`` its orthonormal basis, each row cut of the residue below the largest
+    |g| of the coordinate's old row, so that the residue of the conditioning
+    is dropped and a small row is kept, and each column scaled by a power of
+    two into [0.5, 1)."""
     old = np.abs(s.g[:n, : s.u]).max(axis=1, initial=0.0)
-    _drop_residue(t.g[:n, : t.u], np.repeat(old[:, None], t.u, axis=1), tol)
-    t.top[: t.u] = np.abs(t.g[:n, : t.u]).max(axis=0, initial=0.0)
-    return t
+    post, fac = _condition(s, n, pending, range(n), tol, at)
+    s.w[:], s.u = 0.0, post.nondet.dim
+    g = s.g[:n, : s.u]
+    s.mean[:n], s.f[:n, : fac.shape[1]], g[:] = post.mean, fac, post.nondet.basis
+    _drop_residue(g, np.repeat(old[:, None], s.u, axis=1), tol)
+    np.ldexp(g, -np.frexp(np.abs(g).max(axis=0, initial=0.0))[1], out=g)
 
 
 def _drop_residue(g, mag, tol: Tolerance) -> None:
@@ -649,7 +650,7 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
     column per ``uniform()``; no definition makes a factorization.  Last,
     one :func:`_condition_rows` conditions the observed and the returned
     rows on every observation at once, in factor form.  A statement that
-    overflows conditions on the pending observations first and runs again.
+    overflows conditions on the pending observations in place and runs again.
     An infeasible observation raises :class:`InfeasibleObservation`, an
     overflow :class:`NonFiniteInput` before numpy can warn, each prefixed
     with its statement's ``line:col`` (with no observation, the first
@@ -662,19 +663,18 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
                  sum(isinstance(d, UniformDist) for d in dists))
     index: dict = {}  # name -> coordinate
     pending: list = []
-    stmts, at, i = program.statements, program.returns[0], 0
-    while True:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # _step checks every result
-                for i in range(i, len(stmts)):
-                    _step(s, stmts[i], index, pending, tol)
-            break
-        except NonFiniteInput:  # observing first, as in program order, may avoid it
-            if not pending:
-                raise
-        s, pending = _refill(s, len(index), pending, tol, at), []  # then statement i again
+    with np.errstate(over="ignore", invalid="ignore"):  # _step checks every result
+        for stmt in program.statements:
+            try:
+                _step(s, stmt, index, pending, tol)
+            except NonFiniteInput:  # observing first, as in program order, may avoid it
+                if not pending:
+                    raise
+                _refill(s, len(index), pending, tol, program.returns[0])
+                pending = []
+                _step(s, stmt, index, pending, tol)
     rows = [index[r.name] for r in program.returns]
-    posterior, _ = _condition(s, len(index), pending, rows, tol, at)
+    posterior, _ = _condition(s, len(index), pending, rows, tol, program.returns[0])
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

@@ -308,7 +308,6 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     g_o, g_r, e_o, e_r = g[:k], g[k:], e[:k], e[k:]
     u, s, vt = _svd(g_o)
     q = np.count_nonzero(s > tol.rank_rel_tol)
-    h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
     ue, se, _ = _svd(g_r @ vt[q:].T, full_matrices=False)
     eta = _fix_signs(ue[:, :np.count_nonzero(se > tol.rank_rel_tol)])
     eta, perp = _scaled_basis(eta, e_r), _scaled_basis(u[:, q:], -e_o)
@@ -320,21 +319,22 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     ua, sa, vta = _svd(a)
     rank = np.count_nonzero(sa > math.sqrt(tol.rank_rel_tol) * max(float(sa.max(initial=0.0)), anchor))
     us, coef = ua[:, :rank], ua[:, :rank].T @ b
-    r = len(e_r)  # off eta with no SVD of its complement; exactly 0 if eta is everything
-    p = np.eye(r) - eta @ eta.T if eta.shape[1] < r else np.zeros((r, r))
+    eta = Subspace._of(len(e_r), eta)
+    p = eta.complement_projector()
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
+        h = np.ldexp((g_r @ vt[:q].T / s[:q]) @ u[:, :q].T, e_r[:, None] - e_o)
         k_f = f_r - h @ f_o
         mean = p @ (mean[k:] + h @ resid + k_f @ (vta[:rank].T @ (coef.T / sa[:rank]).T))
         fac = p @ (k_f @ vta[rank:].T)
         cov = fac @ fac.T
-    return Subspace._of(r, eta), mean, fac, cov, float(np.linalg.norm(b - us @ coef))
+    return eta, mean, fac, cov, float(np.linalg.norm(b - us @ coef))
 
 
 def _scaled_basis(basis, e):
-    """A sign-canonical orthonormal basis of ``col(2^e basis)`` for an
-    orthonormal ``basis``, by one thin SVD with no rank cut if it is not one."""
+    """A sign-canonical orthonormal basis of ``col(2^e basis)`` for an orthonormal
+    ``basis``, by one thin SVD of ``2^(e - max e) basis`` (it cannot overflow)."""
     if basis.shape[1] < basis.shape[0] and e.max() != e.min():
-        basis = _svd(np.ldexp(basis, e[:, None]), full_matrices=False)[0]
+        basis = _svd(np.ldexp(basis, (e - e.max())[:, None]), full_matrices=False)[0]
     return _fix_signs(basis)
 
 
@@ -348,16 +348,16 @@ def condition_equal(psi: ExtendedGaussian, tol: Tolerance = DEFAULT_TOL) -> Exte
 
 
 def _form_on(space: Subspace, form, tol: Tolerance, ambient: str) -> np.ndarray:
-    """A PSD form supported on ``space``, checked and projected onto it."""
+    """A PSD form supported on ``space``, checked, projected onto it and symmetrized."""
     form = np.asarray(form, dtype=float)
     _check_finite(form=form)
     form = psd_normalize(form, tol)
     if form.shape != (space.ambient_dim, space.ambient_dim):
         raise ValueError(f"form shape does not match {ambient}")
-    p = space.projector()
-    if form.size and float(np.max(np.abs(form - p @ form @ p))) > tol.eq_abs_tol:
+    projected = CovDec().push(space.projector(), form)
+    if form.size and float(np.max(np.abs(form - projected))) > tol.eq_abs_tol:
         raise ValueError("form is not supported on the given subspace")
-    return p @ form @ p if form.size else form
+    return projected
 
 
 class PrecisionRep(_Immutable):

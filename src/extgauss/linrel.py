@@ -195,7 +195,7 @@ def graph_decompose(d: Subspace, nx: int, tol: Tolerance = DEFAULT_TOL
         raise ValueError(f"split {nx} out of range for R^{d.ambient_dim}")
     bx, by = d.basis[:nx], d.basis[nx:]
     # an empty block gets what numpy's SVD returns for it, without the call
-    u, s, vt = _svd(bx) if bx.size else (np.eye(nx), np.zeros(0), np.eye(d.dim))
+    u, s, vt = _svd(bx)
     r = int(np.sum(s > tol.rank_rel_tol))
     h = (by @ vt[:r].T / s[:r]) @ u[:, :r].T
     eta = by @ vt[r:].T  # columns of norm sqrt(1 - s^2), s below the cutoff

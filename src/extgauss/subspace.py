@@ -229,13 +229,11 @@ class Subspace(_Immutable):
         return self.basis @ self.basis.T
 
     def complement_projector(self) -> np.ndarray:
-        """The orthogonal projector onto the orthogonal complement.
-
-        Built from the complement's own basis rather than as I - P, so a
-        full subspace yields an exactly zero matrix instead of rounding
-        residue of unit-scale cancellations.
-        """
-        return self.annihilator().projector()
+        """The orthogonal projector onto the orthogonal complement, ``I - P``
+        with no factorization; exactly zero for a full subspace, where I - P
+        would be rounding residue of unit-scale cancellations."""
+        n = self.ambient_dim
+        return np.eye(n) - self.projector() if self.dim < n else np.zeros((n, n))
 
     def annihilator(self) -> "Subspace":
         """The orthogonal complement (the annihilator realized in R^n)."""

@@ -203,6 +203,18 @@ class TestRun:
             f"{path}:1:19: expression for 'y' has a non-finite coefficient of 'x'\n"
         )
 
+    def test_an_overflowing_gain_is_one_line(self, tmp_path, capsys):
+        # feasible (x = 1), but the gain spans 2^1063 and overflows: the
+        # refusal is the located error alone, with no numpy warning before it
+        path = tmp_path / "subnormal.gx"
+        path.write_text("x ~ uniform(); y = 1e-320*x; observe y == 1e-320; return x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second line
+            code = main(["run", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"{path}:1:30: mean has a NaN or infinite entry\n"
+
     @pytest.mark.parametrize(
         "source, message",
         [

@@ -541,6 +541,32 @@ class TestInterpret:
         assert report.posterior.equals(
             ExtendedGaussian(Subspace.span([[1.0, 1.0]]), np.zeros(2), np.zeros((2, 2))))
 
+    # A subnormal coefficient puts the observed row's binary exponent 1064
+    # below the returned one's, so the conditioner's power-of-two maps
+    # between the rows span more than a float holds.
+    # Both programs are feasible (x = 1, and x = 0 with z = 0); the first is
+    # still refused, as the gain overflows, but neither makes numpy warn or
+    # hands an infinite entry to an SVD.
+    _SUBNORMAL = "x ~ uniform(); y = 1e-320*x; observe y == 1e-320; return x"
+    _SUBNORMAL_BASIS = ("x ~ uniform(); z ~ normal(0, 1); y = 1e-320*x + z; "
+                        "observe y == 0; observe x == 0; return z")
+
+    def test_a_subnormal_gain_overflows_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="^1:30: mean has a NaN or infinite entry$"):
+                interpret(parse(self._SUBNORMAL))
+
+    def test_a_subnormal_row_scales_the_returned_basis_without_a_warning(self, monkeypatch):
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: seen.append(
+            np.isfinite(a).all()) or svd(a, *args, **kwargs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = interpret(parse(self._SUBNORMAL_BASIS))
+        assert report.posterior.equals(E.dirac([0.0]))
+        assert seen and all(seen), seen
+
     def test_report_json_fields(self):
         report = interpret(parse("x ~ normal(0,1)\nreturn x"))
         assert set(report.to_dict()) == {
@@ -597,24 +623,61 @@ class TestArrayLowering:
         for name in ("tensor", "pushforward", "_normal"):
             assert not hasattr(dsl, name)
 
+    @staticmethod
+    def _watch_columns(monkeypatch) -> list:
+        """Check after every statement that returns, and after every overflow
+        flush, that each used column of g has its largest entry in [0.5, 1);
+        the coordinates of each flush are appended to the returned list."""
+        def check(s, n):
+            top = np.abs(s.g[:n, : s.u]).max(axis=0, initial=0.0)
+            assert np.all((0.5 <= top) & (top < 1.0)), top
+
+        def step(s, stmt, index, *args):
+            run_step(s, stmt, index, *args)
+            check(s, len(index))
+
+        def refill(s, n, *args):
+            run_refill(s, n, *args)
+            flushes.append(n)
+            check(s, n)
+
+        flushes, run_step, run_refill = [], dsl._step, dsl._refill
+        monkeypatch.setattr(dsl, "_step", step)
+        monkeypatch.setattr(dsl, "_refill", refill)
+        return flushes
+
     @pytest.mark.parametrize("seed", range(40))
     def test_generator_columns_stay_normalized(self, seed, monkeypatch):
-        # after every definition each used column of g has its largest
-        # entry in [0.5, 1] (1 for a uniform no definition has read since),
-        # and the lowering's top is that largest entry, bit for bit
+        # a uniform enters its column at 0.5 and a definition rescales the
+        # columns its row leads by a power of two, so no column maximum
+        # needs storing: each lies in [0.5, 1) after every statement
         rng = np.random.default_rng(8400 + seed)
-        lowered = []
-        condition = dsl._condition
-        monkeypatch.setattr(dsl, "_condition",
-                            lambda s, n, *args: lowered.append((s, n)) or condition(s, n, *args))
+        self._watch_columns(monkeypatch)
         try:
             interpret(parse(_steep_source(rng)))
         except InfeasibleObservation:
             pass  # the columns were lowered all the same
-        for s, n in lowered:
-            top = np.abs(s.g[:n, : s.u]).max(axis=0, initial=0.0)
-            assert np.all((top == 0.0) | ((0.5 <= top) & (top <= 1.0))), top
-            np.testing.assert_array_equal(s.top[: s.u], top)
+
+    def test_generator_columns_stay_normalized_after_each_flush(self, monkeypatch):
+        # the flush writes the posterior's basis with each column already
+        # scaled into [0.5, 1), and the retried statement keeps it there
+        flushes = self._watch_columns(monkeypatch)
+        retry, small = TestDeferredObservations._RETRY, TestDeferredObservations._SMALL
+        row = TestInterpret._OVERFLOWING_ROW
+        sources = [source for source, _ in OVERFLOW_AND_INFEASIBLE] + [
+            retry + "return w, a", retry + "return w, x", retry + "observe a == 2; return w, a",
+            small + "observe x1 == 1; return y", small + "return x1",
+            f"x ~ uniform(); v ~ uniform(); a = x; b = x; c = x; observe x == 0; {row} + v; "
+            "return y, v",
+            f"x ~ uniform(); v ~ uniform(); a = x; b = x; c = x; observe x == 0; observe v == 1; "
+            f"{row} + v; w ~ normal(2*v, 1); return y, w",
+        ]
+        for source in sources:
+            try:
+                interpret(parse(source))
+            except (InfeasibleObservation, NonFiniteInput):
+                pass  # the flushes before the error were checked all the same
+        assert len(flushes) >= len(sources) - len(OVERFLOW_AND_INFEASIBLE), flushes
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.floats(allow_nan=False, allow_infinity=False),

@@ -256,6 +256,18 @@ class TestDuality:
         assert k == prec.support.annihilator()
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_forms_are_exactly_symmetric(self, seed):
+        # the form on a subspace is symmetrized after its projection, as a
+        # pushed covariance is, so both reps and the rebuilt covariance equal
+        # their transposes bit for bit (p @ form @ p alone did not)
+        rng = np.random.default_rng(7400 + seed)
+        psi = random_extended(rng, int(rng.integers(2, 6)))
+        back = from_covariance_rep(covariance_rep(psi))
+        for form in (to_precision(psi).form, covariance_rep(psi).form, back.cov):
+            assert np.array_equal(form, form.T)
+
+
 class TestConditional:
     def test_reduces_to_gaussian_case(self):
         rng = np.random.default_rng(5)

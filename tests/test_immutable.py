@@ -55,6 +55,24 @@ def test_every_value_class_is_covered():
     assert len({type(v) for v in VALUES}) == len(VALUES) == 13
 
 
+def test_repr_names_the_class_and_its_dimensions():
+    assert [repr(v) for v in VALUES] == [
+        "Subspace(ambient_dim=2, dim=1)",
+        "GaussianMap(2 -> 2)",
+        "AffineSupportMap(2 -> 2, noise dim 1)",
+        "LinearRelation(2 -> 1)",
+        "QuotientForm(2 -> 2, noise dim 1)",
+        "AffineRelation(2 -> 1)",
+        "AffineQuotientForm(2 -> 2, noise dim 1)",
+        "DecoratedMap(2 -> 2, PairDec)",
+        "DecoratedRelation(2 -> 2, PairDec, nondet dim 1)",
+        "ExtendedGaussianMap(2 -> 2, PairDec, nondet dim 1)",
+        "ExtendedGaussian(dim=2, nondet dim 1)",
+        "PrecisionRep(ambient 2, support dim 2)",
+        "CovarianceRep(ambient 2, dual support dim 1)",
+    ]
+
+
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_assigned_and_arrays_are_read_only(value):
     name = type(value).__name__

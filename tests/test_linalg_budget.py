@@ -281,6 +281,36 @@ def test_closed_form_factorization_budget(monkeypatch, build, expected):
     assert counts == expected
 
 
+_RNG = np.random.default_rng(6)
+_NONDET = Subspace.span(_RNG.standard_normal((2, 6)))
+_FACTOR = _RNG.standard_normal((6, 6))
+_PSI = ExtendedGaussian(_NONDET, _RNG.standard_normal(6), _FACTOR @ _FACTOR.T)
+_MAP = E.ExtendedGaussianMap(Subspace.zero(4), _RNG.standard_normal((4, 6)), np.zeros(4), np.eye(4))
+
+
+# An extended Gaussian on R^6 with 2 nondeterministic directions.  The
+# normal form projects with I - P, which needs no factorization: the
+# constructor's only one is its PSD check, translate makes none, and compose
+# keeps the SVDs of its image and of the combined nondeterminism (1 SVD more
+# each before, for the complement's basis).  observe and conditional factor
+# the covariance once and condition it in factor form.
+@pytest.mark.parametrize("build, expected", [
+    pytest.param(lambda: ExtendedGaussian(_NONDET, np.zeros(6), _FACTOR @ _FACTOR.T),
+                 {"eigh": 1}, id="constructor"),
+    pytest.param(lambda: E.compose(_MAP, _PSI), {"svd": 2}, id="compose"),
+    pytest.param(lambda: E.pushforward(_MAP.lin, _PSI), {"svd": 2}, id="pushforward"),
+    pytest.param(lambda: E.marginal(_PSI, [0, 2, 4]), {"svd": 2}, id="marginal"),
+    pytest.param(lambda: E.translate(_PSI, np.ones(6)), {}, id="translate"),
+    pytest.param(lambda: E.observe(_PSI, np.ones((1, 6)), [0.3]), {"eigh": 1, "svd": 2},
+                 id="observe"),
+    pytest.param(lambda: E.conditional(_PSI, 2), {"eigh": 1, "svd": 1}, id="conditional"),
+])
+def test_library_factorization_budget(monkeypatch, build, expected):
+    counts = _count_factorizations(monkeypatch)
+    build()
+    assert counts == expected
+
+
 def test_image_makes_one_factorization(monkeypatch):
     # the cut is anchored at the largest row norm, which needs no SVD (a
     # spectral norm of the matrix before)

@@ -424,6 +424,7 @@ def test_scanner_takes_the_parenthesis_free_statements():
         "x = 1e400*y\nreturn x", "x = " + "9" * 400 + "\nreturn x", "x ~ normal(0, 1e400)\nreturn x",
         "x ~ normal(1e309, 1)\nreturn x", "x ~ normal(0, " + "9" * 400 + ")\nreturn x",
         "x = 1e308*y + 1.7976931348623157e308\nreturn x", "x = 1e-400 + 1e+5 - 2E-3*y\nreturn x",
+        "observe 1e400*x == 1\nreturn x", "observe x == 1e400\nreturn x", "observe x 2 == 1\nreturn x",
         # statements across pieces, and pieces that are not one statement
         "x = 1 y = 2\nreturn x", "x = 1\n- y\nreturn x", "x = 2\n*y\nreturn x", "x = 1 +\n2\nreturn x",
         "observe x\n== 1\nreturn x", "x ~ normal(0,\n1)\nreturn x", "x = 1\nreturn x\n, y",

@@ -174,6 +174,28 @@ class TestProjectors:
     def test_full_space(self):
         np.testing.assert_allclose(Subspace.full(3).projector(), np.eye(3))
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_complement_of_full_and_zero_is_exact(self, n):
+        assert Subspace.full(n).complement_projector().tobytes() == np.zeros((n, n)).tobytes()
+        assert Subspace.zero(n).complement_projector().tobytes() == np.eye(n).tobytes()
+
+    def test_complement_projector_is_symmetric_and_idempotent(self):
+        rng = np.random.default_rng(231)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            q = random_subspace(rng, n).complement_projector()
+            assert np.abs(q - q.T).max() <= 1e-15
+            assert np.abs(q @ q - q).max() <= 2e-15  # up to 7.7 eps measured, n <= 8
+
+    def test_complement_projector_makes_no_factorization(self, monkeypatch):
+        # I - P from the basis it holds: no SVD of the complement's basis
+        spaces = [Subspace.span([[1.0, 2.0, 0.0]]), Subspace.full(3), Subspace.zero(3)]
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not name.startswith("_"):
+                monkeypatch.setattr(np.linalg, name, None)
+        for u in spaces:
+            u.complement_projector()
+
     def test_oblique_difference_projection(self):
         p = oblique_projector(Subspace.span([[0, 1]]), Subspace.span([[1, 1]]))
         np.testing.assert_allclose(p, [[0.0, 0.0], [-1.0, 1.0]], atol=1e-12)
