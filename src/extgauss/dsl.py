@@ -573,11 +573,11 @@ def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
 
 def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
     """Coordinates ``rows`` of the first ``n`` of ``s`` given the pending
-    ``(statement, row, value)``, and the posterior's factor, by one
-    :func:`_condition_rows` of the rows ``p @ w``.  On failure, bisect for
-    the shortest failing prefix of the observed rows (prefix feasibility is
-    monotone) and raise at its last statement, or at ``at`` if there is
-    none; an overflow there is retried after the rows before it."""
+    ``(statement, row, value)``, with the factor and generator rows, by one
+    :func:`_condition_rows` of the rows ``p @ w``, ``g`` as unit rows and
+    exponents.  On failure, bisect for the shortest failing prefix of the
+    observed rows (prefix feasibility is monotone) and raise at its last
+    statement, or at ``at`` if none; an overflow there is retried after the rows before it."""
     k, g0 = len(pending), 1 + s.f.shape[1]  # g's first column in w
     p = np.zeros((k + len(rows), n))
     ps = [row for _, row, _ in pending] + [{j: 1.0} for j in rows]
@@ -588,12 +588,13 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
         mean, f_y, g_y = y[:, 0], y[:, 1 : 1 + s.v], y[:, g0 : g0 + s.u]
         mag = np.abs(p) @ np.abs(s.g[:n, : s.u])
         _drop_residue(g_y, mag, tol)
+        e = np.frexp(mag.max(axis=1, initial=0.0))[1]  # 0 for a row that reads no nondeterminism
+        np.ldexp(g_y, -e[:, None], out=g_y)
         scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
 
     def prefix(j):  # the first j observed rows and the returned rows
         keep = slice(None) if j == k else np.r_[:j, k : len(p)]
-        return _condition_rows(mean[keep], f_y[keep], g_y[keep], j, value[:j],
-                               mag[keep].max(axis=1, initial=0.0), tol, scale)
+        return _condition_rows(mean[keep], f_y[keep], g_y[keep], j, value[:j], e[keep], tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
     try:
@@ -617,16 +618,16 @@ def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> None:
     """The overflow flush: the first ``n`` coordinates of ``s`` conditioned on
     ``pending``, in place.  All of ``w`` is zeroed, as the posterior may fill
     fewer columns than the old rows did and the overflowing statement may have
-    half-written its row.  It then holds the posterior: ``f`` its factor and
-    ``g`` its orthonormal basis, each row cut of the residue below the largest
-    |g| of the coordinate's old row, so that the residue of the conditioning
-    is dropped and a small row is kept, and each column scaled by a power of
-    two into [0.5, 1)."""
+    half-written its row.  It then holds the posterior: its mean, ``f`` its
+    factor and ``g`` its generator rows in the old rows' units, each entry cut
+    of the residue below the largest |g| of the coordinate's old row, so that
+    the residue of the conditioning is dropped and a small row is kept, and
+    each column scaled by a power of two into [0.5, 1)."""
     old = np.abs(s.g[:n, : s.u]).max(axis=1, initial=0.0)
-    post, fac = _condition(s, n, pending, range(n), tol, at)
-    s.w[:], s.u = 0.0, post.nondet.dim
+    post, fac, rows = _condition(s, n, pending, range(n), tol, at)
+    s.w[:], s.v, s.u = 0.0, fac.shape[1], rows.shape[1]
     g = s.g[:n, : s.u]
-    s.mean[:n], s.f[:n, : fac.shape[1]], g[:] = post.mean, fac, post.nondet.basis
+    s.mean[:n], s.f[:n, : s.v], g[:] = post.mean, fac, rows
     _drop_residue(g, np.repeat(old[:, None], s.u, axis=1), tol)
     np.ldexp(g, -np.frexp(np.abs(g).max(axis=0, initial=0.0))[1], out=g)
 
@@ -674,7 +675,7 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
                 pending = []
                 _step(s, stmt, index, pending, tol)
     rows = [index[r.name] for r in program.returns]
-    posterior, _ = _condition(s, len(index), pending, rows, tol, program.returns[0])
+    posterior = _condition(s, len(index), pending, rows, tol, program.returns[0])[0]
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

@@ -234,10 +234,10 @@ def conditional(phi: ExtendedGaussianMap, nx: int,
     m = phi.cod_dim
     if not 0 <= nx <= m:
         raise ValueError(f"split {nx} out of range for R^{m}")
-    mean, f, g, mag = _factor(phi, np.eye(m), tol)
+    mean, f, g, e = _factor(phi, np.eye(m), tol)
     data = np.hstack([np.zeros((m, nx)), phi.lin, mean[:, None]])
     anchor = math.sqrt(np.finfo(float).eps * m * np.abs(phi.cov).max(initial=0.0) / tol.rank_rel_tol)
-    eta, mean, _, cov, _ = _conditional_rows(data, f, g, nx, np.eye(nx, data.shape[1]), mag, tol, anchor)
+    eta, _, mean, _, cov, _ = _conditional_rows(data, f, g, nx, np.eye(nx, data.shape[1]), e, tol, anchor)
     return ExtendedGaussianMap._from_normal(_DEC, eta, mean[:, :-1], (mean[:, -1], cov))
 
 
@@ -256,45 +256,45 @@ def observe(psi: ExtendedGaussian, obs, value, tol: Tolerance = DEFAULT_TOL) -> 
     if value.shape != (k,):
         raise ValueError(f"observed value of shape {value.shape}, expected ({k},)")
     _check_finite(obs=obs, value=value, mean=psi.mean, cov=psi.cov)
-    mean, f, g, mag = _factor(psi, np.vstack([obs, np.eye(n)]), tol)
-    return _condition_rows(mean, f, g, k, value, mag, tol, 0.0)[0]
+    mean, f, g, e = _factor(psi, np.vstack([obs, np.eye(n)]), tol)
+    return _condition_rows(mean, f, g, k, value, e, tol, 0.0)[0]
 
 
 def _factor(phi: ExtendedGaussianMap, a, tol: Tolerance):
-    """``a`` times the mean, a factor of the covariance (one ``eigh``) and
-    the basis ``B`` of the nondeterminism of ``phi``, unchecked, and the
-    rows' magnitudes: ``|a|`` summed over the coordinates ``B`` spans.
-    Eigenvalues up to ``eps * n * lambda_max`` are rounding, not variance."""
+    """``a`` times the mean, a factor of the covariance (one ``eigh``) and the
+    nondeterminism basis ``B`` of ``phi`` as unit rows ``2^-e a B``, unchecked, with
+    ``e`` the exponents of the magnitudes ``|a|`` summed over the coordinates ``B``
+    spans.  Eigenvalues up to ``eps * n * lambda_max`` are rounding, not variance."""
     w, vec = np.linalg.eigh(0.25 * phi.cov)  # exact; an eigenvalue past 1e308 stays finite
     w[w <= np.finfo(float).eps * len(w) * w.max(initial=0.0)] = 0.0
     b = phi.nondet.basis
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        mag = np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol)
-        return a @ phi.mean, a @ (vec * (2.0 * np.sqrt(w))), a @ b, mag
+        e = np.frexp(np.abs(a) @ (np.linalg.norm(b, axis=1) > tol.rank_rel_tol))[1]
+        return a @ phi.mean, a @ (vec * (2.0 * np.sqrt(w))), np.ldexp(a @ b, -e[:, None]), e
 
 
-def _condition_rows(mean, f, g, k: int, value, mag, tol: Tolerance, scale: float):
+def _condition_rows(mean, f, g, k: int, value, e, tol: Tolerance, scale: float):
     """:func:`_conditional_rows` at ``value``, anchored at the root of the
-    largest row variance or ``scale``: the posterior and its factor, after
-    checks of the joint's diagonal (``cov``), the support and the posterior."""
+    largest row variance or ``scale``: the posterior, its factor and generator
+    rows, after checks of the joint's diagonal (``cov``), the support and the posterior."""
     with np.errstate(over="ignore", invalid="ignore"):  # cov: the covariance's diagonal
         var = np.square(f).sum(axis=1)
     _check_finite(mean=mean, cov=var, nondet=g, scale=scale)
     anchor = math.sqrt(max(float(var.max(initial=0.0)), scale))
-    eta, mean, fac, cov, dist = _conditional_rows(mean, f, g, k, value, mag, tol, anchor)
+    eta, rows, mean, fac, cov, dist = _conditional_rows(mean, f, g, k, value, e, tol, anchor)
     if dist > tol.eq_abs_tol * (1.0 + float(np.linalg.norm(value))):
         raise InfeasibleObservation("observed value lies outside the support of the observed quantity")
     _check_finite(mean=mean, cov=cov)
-    return ExtendedGaussian._from_normal(_DEC, eta, np.zeros((len(mean), 0)), (mean, cov)), fac
+    return ExtendedGaussian._from_normal(_DEC, eta, np.zeros((len(mean), 0)), (mean, cov)), fac, rows
 
 
-def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: float):
-    """Condition the first k coordinates of ``mean + f z + span(g)``, ``z``
+def _conditional_rows(mean, f, g, k: int, value, e, tol: Tolerance, anchor: float):
+    """Condition the first k coordinates of ``mean + f z + span(D g)``, ``z``
     standard normal, at ``value`` (``mean`` and ``value`` may carry columns
-    alike): the other r's nondeterminism ``eta``, mean, factor ``K V_perp``
-    and covariance, unchecked, and the distance of ``value`` to the support.
-    Each row of ``g`` is scaled by ``D^-1``, the power of two that brings its
-    magnitude before cancellation ``mag`` into [0.5, 1).  One SVD of the
+    alike): the other r's nondeterminism ``eta``, its generator rows ``D_r U_t``,
+    mean, factor ``K V_perp`` and covariance, unchecked, and the distance of
+    ``value`` to the support.  ``g`` holds unit rows and ``D = diag(2^e)`` the
+    powers of two of their magnitudes before cancellation.  One SVD of the
     observed rows, cut at ``rank_rel_tol``, gives ``h = D_r g_r V_q S_q^-1
     U_q^T D_o^-1`` and ``perp = col(D_o^-1 U_perp)``; one thin SVD of
     ``g_r V_perp``, cut by the same rule, gives ``eta = col(D_r U_t)``.  One
@@ -303,14 +303,12 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
     ``b = perp^T (value - mean_o)`` and ``K = f_r - h f_o``, the mean is
     ``mean_r + h (value - mean_o) + K V_s S_s^-1 U_s^T b`` off ``eta``,
     extended by 0 off U_s."""
-    e = np.frexp(mag)[1]  # 0 for a row that reads no nondeterminism
-    g = np.ldexp(g, -e[:, None])
     g_o, g_r, e_o, e_r = g[:k], g[k:], e[:k], e[k:]
     u, s, vt = _svd(g_o)
     q = np.count_nonzero(s > tol.rank_rel_tol)
     ue, se, _ = _svd(g_r @ vt[q:].T, full_matrices=False)
-    eta = _fix_signs(ue[:, :np.count_nonzero(se > tol.rank_rel_tol)])
-    eta, perp = _scaled_basis(eta, e_r), _scaled_basis(u[:, q:], -e_o)
+    u_t = ue[:, :np.count_nonzero(se > tol.rank_rel_tol)]
+    eta, perp = _scaled_basis(u_t, e_r), _scaled_basis(u[:, q:], -e_o)
     f_o, f_r, resid = f[:k], f[k:], value - mean[:k]
     a, b = perp.T @ f_o, perp.T @ resid
     with np.errstate(over="ignore"):  # dominant column first, or the SVD cancels in V_perp
@@ -327,7 +325,7 @@ def _conditional_rows(mean, f, g, k: int, value, mag, tol: Tolerance, anchor: fl
         mean = p @ (mean[k:] + h @ resid + k_f @ (vta[:rank].T @ (coef.T / sa[:rank]).T))
         fac = p @ (k_f @ vta[rank:].T)
         cov = fac @ fac.T
-    return eta, mean, fac, cov, float(np.linalg.norm(b - us @ coef))
+    return eta, np.ldexp(u_t, e_r[:, None]), mean, fac, cov, float(np.linalg.norm(b - us @ coef))
 
 
 def _scaled_basis(basis, e):

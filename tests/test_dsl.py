@@ -659,7 +659,7 @@ class TestArrayLowering:
             pass  # the columns were lowered all the same
 
     def test_generator_columns_stay_normalized_after_each_flush(self, monkeypatch):
-        # the flush writes the posterior's basis with each column already
+        # the flush writes the posterior's generator rows with each column
         # scaled into [0.5, 1), and the retried statement keeps it there
         flushes = self._watch_columns(monkeypatch)
         retry, small = TestDeferredObservations._RETRY, TestDeferredObservations._SMALL
@@ -1126,20 +1126,38 @@ class TestDeferredObservations:
     # After y, x1's generator row is 2^-37, a real row far below
     # rank_rel_tol.  The refill keeps that scale in its magnitude, so x1
     # still has rank after the retry at w: observing it pins y, and
-    # returning it leaves it unknown.  The refilled orthonormal basis holds
-    # x1's 1e-11 entry to about 8e-8 relative, hence the rtol on y.
+    # returning it leaves it unknown.  The refill writes the conditioner's
+    # generator rows, each in its own row's units, so x1's row keeps its
+    # relative accuracy and y is exact to rounding: an orthonormal basis
+    # of the posterior holds x1's 1e-11 entry only to about 8e-8 relative.
     _SMALL = "x1 ~ uniform(); y = 1e11*x1; z ~ normal(0, 1e300); observe z == 0; w = 1e300*z; "
 
     def test_overflow_retry_keeps_a_small_row_observable(self):
         report = interpret(parse(self._SMALL + "observe x1 == 1; return y"))
         assert report.posterior.nondet.dim == 0
-        np.testing.assert_allclose(report.posterior.mean, [1e11], rtol=1e-6)
+        np.testing.assert_allclose(report.posterior.mean, [1e11], rtol=1e-12)
         np.testing.assert_allclose(report.posterior.cov, [[0.0]], atol=0.0)
 
     def test_overflow_retry_keeps_a_small_row_unknown(self):
         report = interpret(parse(self._SMALL + "return x1"))
         assert report.posterior.equals(
             ExtendedGaussian(Subspace.full(1), np.zeros(1), np.zeros((1, 1))))
+
+    @pytest.mark.parametrize("source", [
+        "x ~ normal(0, 1e300); observe x == 0; y = 1e300*x; return y",
+        _RETRY + "u ~ normal(w, 1); return w, a, u",
+    ])
+    def test_no_zero_factor_column_after_a_flush(self, monkeypatch, source):
+        # the flush conditions away the observed normals' columns and keeps
+        # only the posterior factor's width, so a later normal takes the
+        # next column and no call conditions on a column of zeros
+        calls = []
+        monkeypatch.setattr("extgauss.dsl._condition_rows",
+                            lambda *a: calls.append(a[1]) or E._condition_rows(*a))
+        interpret(parse(source))
+        assert len(calls) >= 2  # the flush and the final conditional
+        for f in calls:
+            assert not np.all(f == 0.0, axis=0).any(), f
 
     def test_overflow_retry_refuses_a_conflicting_observation(self):
         program = parse(self._RETRY + "observe a == 2; return w, a")

@@ -917,9 +917,9 @@ def _low_rank(rng, rows, cols, rank):
 
 
 class TestConditionRows:
-    """``_condition_rows`` conditions a joint given in generator form, with
-    rows of different scales and the Gaussian part as a factor, and keeps
-    the returned rows.  ``conditional`` goes through the same conditioner
+    """``_condition_rows`` conditions a joint given in generator form, as
+    unit rows and their exponents, with the Gaussian part as a factor, and
+    keeps the returned rows.  ``conditional`` goes through the same conditioner
     from the normal form, with an orthonormal basis and an ``eigh`` factor,
     so this checks the generator-form input against that path, at the
     value; ``TestClosedFormConditional`` checks the conditioner against an
@@ -943,8 +943,9 @@ class TestConditionRows:
         f = rng.standard_normal((k + r, int(rng.integers(0, k + r + 1))))
         mean, cov = rng.standard_normal(k + r), f @ f.T
         value = mean[:k] + g[:k] @ rng.standard_normal(u) + f[:k] @ rng.standard_normal(f.shape[1])
-        mag = np.abs(g).max(axis=1, initial=0.0)  # no row is cancellation residue
-        got, _ = E._condition_rows(mean, f, g, k, value, mag, DEFAULT_TOL, 0.0)
+        # unit rows and their exponents; no row is cancellation residue
+        e = np.frexp(np.abs(g).max(axis=1, initial=0.0))[1]
+        got = E._condition_rows(mean, f, np.ldexp(g, -e[:, None]), k, value, e, DEFAULT_TOL, 0.0)[0]
         psi = ExtendedGaussian(Subspace.span(list(g.T), ambient_dim=k + r), mean, cov)
         supp = E.support(E.marginal(psi, range(k)))
         assert supp.noise_space.contains(value - supp.offset)
@@ -958,7 +959,7 @@ class TestConditionRows:
         # anchor, which must not turn an infinite scale into rank 0
         f, g = np.eye(2), np.zeros((2, 0))
         with pytest.raises(NonFiniteInput, match="^scale has a NaN or infinite entry$"):
-            E._condition_rows(np.zeros(2), f, g, 1, np.zeros(1), np.zeros(2), DEFAULT_TOL, math.inf)
+            E._condition_rows(np.zeros(2), f, g, 1, np.zeros(1), np.zeros(2, int), DEFAULT_TOL, math.inf)
 
 
 def _assert_psd_to_rounding(cov, what):
