@@ -12,9 +12,9 @@ statements)::
 
 Expressions are affine combinations by construction.  ``observe e1 == e2``
 conditions the model on the exact linear event e1 - e2 = 0.  The
-interpreter lowers each definition into a row of a mean, of a factor of
-the Gaussian part and of a generator of the nondeterminism, then
-conditions the joint of the observed and the returned rows on all
+interpreter lowers each definition and each observed residual into a row
+of a mean, of a factor of the Gaussian part and of a generator of the
+nondeterminism, then conditions the observed and the returned rows on all
 observations at once; for jointly feasible ones the order does not matter.
 """
 
@@ -504,96 +504,99 @@ def _at(node, exc):
 
 
 class _Lowered:
-    """A program's definitions as rows over its N coordinates, written in
-    order: ``w = [mean | f | g]``, viewed as the ``mean``, the Gaussian
-    part's factor ``f`` (N by V, covariance ``f fᵀ``) and the generator
-    ``g`` of the nondeterminism (N by U), the first ``v`` and ``u`` columns in
-    use, each with its largest entry in [0.5, 1) after every statement.  No
+    """A program's definitions, in order, then its ``k`` observed residuals
+    from the last row up, as rows ``w = [mean | f | g]``: the ``mean``, the
+    Gaussian part's factor ``f`` (covariance ``f fᵀ``) and the generator
+    ``g`` of the nondeterminism, the first ``v`` and ``u`` columns in use,
+    each with its largest entry in [0.5, 1) after every statement.  No
     entry's magnitude before cancellation is stored: each statement takes it
     from its own terms."""
 
-    __slots__ = ("w", "mean", "f", "g", "v", "u")
+    __slots__ = ("w", "mean", "f", "g", "v", "u", "k")
 
     def __init__(self, size: int, normals: int, uniforms: int):
         w = self.w = np.zeros((size, 1 + normals + uniforms))
         self.mean, self.f, self.g = w[:, 0], w[:, 1 : 1 + normals], w[:, 1 + normals :]
-        self.v = self.u = 0
+        self.v = self.u = self.k = 0
 
 
 def _step(s: _Lowered, stmt, index: dict, pending: list, tol: Tolerance):
-    """Run one statement: defer an observation to ``pending`` as ``(statement,
-    {coordinate: residual coefficient}, value)``, or write a definition's row
-    of ``w``, ``c @ w[idx]`` over the rows ``idx`` it reads, its ``g`` part
-    cut of the residue below its terms' magnitude ``|c| @ |g[idx]|`` (not if
-    it reads one row: one product's ``|c g|`` is that magnitude, and
-    ``rank_rel_tol < 1``); a positive variance v adds a column of ``f``.  A
-    ``uniform()`` enters at 0.5, so only a new row can reach 1: where it does,
-    a power of two rescales its columns, exactly, into [0.5, 1).  The row of
-    ``g``, the mean and the variance ``‖f[n]‖² + v`` (as ``cov``) are
-    checked, so numpy's overflow warnings may be off."""
+    """Run one statement: write its row of ``w``, ``c @ w[idx]`` over the rows
+    ``idx`` it reads, its ``g`` part cut of the residue below its terms'
+    magnitude ``|c| @ |g[idx]|`` (not if it reads one row: one product's
+    ``|c g|`` is that magnitude, and ``rank_rel_tol < 1``); a positive
+    variance v adds a column of ``f``.  An observation defers ``(statement,
+    row, value)`` to ``pending``: its residual's row, or row ``y`` for a
+    residual ``1.0*y``.  A ``uniform()`` enters at 0.5, so only a new row can
+    reach 1: where it does, a power of two rescales its columns, exactly,
+    into [0.5, 1).  The row of ``g``, the mean and the variance ``‖f[r]‖² +
+    v`` (as ``cov``) are checked, so numpy's overflow warnings may be off."""
     n = len(index)
     try:
         if isinstance(stmt, Observe):
             lhs, l0 = _affine(stmt.lhs, index, "left-hand side")
             rhs, r0 = _affine(stmt.rhs, index, "right-hand side")
             lhs.update({j: lhs.get(j, 0.0) - c for j, c in rhs.items()})
-            pending.append((stmt, *_finite(lhs, r0 - l0, index, "observed residual")))
-            return
-        dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
-        if isinstance(dist, UniformDist):  # mean and f stay 0: a new column of g
-            s.g[n, s.u] = 0.5
-            index[stmt.name], s.u = n, s.u + 1
-            return
-        acc, const = _affine(dist.mean, index, f"expression for {stmt.name!r}")
-        variance = dist.variance + 0.0  # -0.0 to 0.0, as the checking constructor
-        if not math.isfinite(variance):  # a parsed one is; a hand-built one may not be
-            raise NonFiniteInput(f"variance {dist.variance!r} is not finite")
-        row, u = s.w[n], s.u
+            acc, value = _finite(lhs, r0 - l0, index, "observed residual")
+            if len(acc) == 1 and 1.0 in acc.values():  # observe y == 3: the row of y
+                pending.append((stmt, *acc, value))
+                return
+            r, const, variance, what = len(s.w) - 1 - s.k, 0.0, 0.0, "the observed residual"
+        else:
+            dist = stmt.dist if isinstance(stmt, Sample) else NormalDist(stmt.expr, 0.0)
+            if isinstance(dist, UniformDist):  # mean and f stay 0: a new column of g
+                s.g[n, s.u] = 0.5
+                index[stmt.name], s.u = n, s.u + 1
+                return
+            acc, const = _affine(dist.mean, index, f"expression for {stmt.name!r}")
+            variance = dist.variance + 0.0  # -0.0 to 0.0, as the checking constructor
+            if not math.isfinite(variance):  # a parsed one is; a hand-built one may not be
+                raise NonFiniteInput(f"variance {dist.variance!r} is not finite")
+            r, what = n, repr(stmt.name)
+        row, u = s.w[r], s.u
         if acc:  # take and dot: a third of the cost of fancy indexing and @
             idx, c = list(acc), np.array(list(acc.values()))
             row[:] = c.dot(s.w.take(idx, axis=0))
         if u and acc:
-            g = s.g[: n + 1, :u]
+            g = s.g[:, :u]
             if len(idx) > 1:  # one product's |c g| is its own magnitude |c| |g|
-                _drop_residue(g[n], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
-            top = np.maximum.reduce(np.abs(g[n]))  # NaN if any entry is
+                _drop_residue(g[r], np.abs(c).dot(np.abs(g.take(idx, axis=0))), tol)
+            top = np.maximum.reduce(np.abs(g[r]))  # NaN if any entry is
             if not top < math.inf:
-                raise NonFiniteInput(f"nondeterministic part of {stmt.name!r} overflows")
+                raise NonFiniteInput(f"nondeterministic part of {what} overflows")
             if top >= 1.0:  # the columns this row leads, back into [0.5, 1)
-                np.ldexp(g, -np.maximum(np.frexp(g[n])[1], 0), out=g)
+                np.ldexp(g, -np.maximum(np.frexp(g[r])[1], 0), out=g)
         row[0] += const
-        f = s.f[n, : s.v]
+        f = s.f[r, : s.v]
         _check_finite(mean=row[0], cov=f.dot(f) + variance)
         if variance:
-            s.f[n, s.v], s.v = math.sqrt(variance), s.v + 1
+            s.f[r, s.v], s.v = math.sqrt(variance), s.v + 1
     except (InfeasibleObservation, NonFiniteInput) as exc:
         raise _at(stmt, exc) from exc
-    index[stmt.name] = n
+    if isinstance(stmt, Observe):
+        s.k += 1
+        pending.append((stmt, r, value))
+    else:
+        index[stmt.name] = n
 
 
 def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
     """Coordinates ``rows`` of the first ``n`` of ``s`` given the pending
-    ``(statement, row, value)``, with the factor and generator rows, by one
-    :func:`_condition_rows` of the rows ``p @ w``, ``g`` as unit rows and
-    exponents.  On failure, bisect for the shortest failing prefix of the
-    observed rows (prefix feasibility is monotone) and raise at its last
-    statement, or at ``at`` if none; an overflow there is retried after the rows before it."""
+    ``(statement, row, value)``: one :func:`_condition_rows` of those rows of
+    ``w``, each row of ``g`` scaled by its own largest entry, as its residue
+    was cut where it was written.  On failure, bisect for the shortest failing
+    prefix of the observed rows (prefix feasibility is monotone) and raise at
+    its last statement, or at ``at`` if none."""
     k, g0 = len(pending), 1 + s.f.shape[1]  # g's first column in w
-    p = np.zeros((k + len(rows), n))
-    ps = [row for _, row, _ in pending] + [{j: 1.0} for j in rows]
-    p.put([i * n + j for i, row in enumerate(ps) for j in row], [c for row in ps for c in row.values()])
+    y = s.w.take([r for _, r, _ in pending] + list(rows), axis=0)
+    mean, f_y, g_y = y[:, 0], y[:, 1 : 1 + s.v], y[:, g0 : g0 + s.u]
     value = np.array([v for _, _, v in pending])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in _condition_rows
-        y = p @ s.w[:n]
-        mean, f_y, g_y = y[:, 0], y[:, 1 : 1 + s.v], y[:, g0 : g0 + s.u]
-        mag = np.abs(p) @ np.abs(s.g[:n, : s.u])
-        _drop_residue(g_y, mag, tol)
-        e = np.frexp(mag.max(axis=1, initial=0.0))[1]  # 0 for a row that reads no nondeterminism
-        np.ldexp(g_y, -e[:, None], out=g_y)
-        scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
+    e = np.frexp(np.abs(g_y).max(axis=1, initial=0.0))[1]  # 0 for a row of no nondeterminism
+    np.ldexp(g_y, -e[:, None], out=g_y)
+    scale = float(np.square(s.f[:n]).sum(axis=1).max(initial=0.0))  # largest variance
 
     def prefix(j):  # the first j observed rows and the returned rows
-        keep = slice(None) if j == k else np.r_[:j, k : len(p)]
+        keep = slice(None) if j == k else np.r_[:j, k : len(y)]
         return _condition_rows(mean[keep], f_y[keep], g_y[keep], j, value[:j], e[keep], tol, scale)
 
     ok, bad = 0, k  # the prefix of length ``ok`` passes
@@ -608,63 +611,59 @@ def _condition(s: _Lowered, n: int, pending: list, rows, tol: Tolerance, at):
             ok = mid
         except (InfeasibleObservation, NonFiniteInput) as exc:
             bad, err = mid, exc
-    if ok and isinstance(err, NonFiniteInput):
-        _refill(s, n, pending[:ok], tol, at)
-        return _condition(s, n, pending[ok:], rows, tol, at)
     raise _at(pending[ok][0] if pending else at, err) from err
 
 
 def _refill(s: _Lowered, n: int, pending: list, tol: Tolerance, at) -> None:
     """The overflow flush: the first ``n`` coordinates of ``s`` conditioned on
-    ``pending``, in place.  All of ``w`` is zeroed, as the posterior may fill
-    fewer columns than the old rows did and the overflowing statement may have
-    half-written its row.  It then holds the posterior: its mean, ``f`` its
-    factor and ``g`` its generator rows in the old rows' units, each entry cut
-    of the residue below the largest |g| of the coordinate's old row, so that
-    the residue of the conditioning is dropped and a small row is kept, and
-    each column scaled by a power of two into [0.5, 1)."""
+    ``pending``, in place.  All of ``w`` is zeroed: the posterior may fill
+    fewer columns than the old rows did, the observed rows are spent, and the
+    overflowing statement may have half-written its row.  It then holds the
+    posterior: its mean, ``f`` its factor and ``g`` its generator rows in the
+    old rows' units, each entry cut of the residue below the largest |g| of
+    its coordinate's old row (the conditioning's residue goes, a small row
+    stays), and each column scaled by a power of two into [0.5, 1)."""
     old = np.abs(s.g[:n, : s.u]).max(axis=1, initial=0.0)
     post, fac, rows = _condition(s, n, pending, range(n), tol, at)
-    s.w[:], s.v, s.u = 0.0, fac.shape[1], rows.shape[1]
+    s.w[:], s.v, s.u, s.k = 0.0, fac.shape[1], rows.shape[1], 0
     g = s.g[:n, : s.u]
     s.mean[:n], s.f[:n, : s.v], g[:] = post.mean, fac, rows
-    _drop_residue(g, np.repeat(old[:, None], s.u, axis=1), tol)
+    _drop_residue(g, old[:, None], tol)
     np.ldexp(g, -np.frexp(np.abs(g).max(axis=0, initial=0.0))[1], out=g)
 
 
 def _drop_residue(g, mag, tol: Tolerance) -> None:
     """Zero, in place, each entry of ``g`` below ``rank_rel_tol`` times its
-    magnitude ``mag`` (its terms' in the statement that made it), and that
-    magnitude: cancellation residue, or a magnitude that overflowed.  An entry
-    of ``g`` that overflowed stays.  Noise built up over several statements,
-    each cancelling above the cut, is not caught."""
-    res = np.abs(g) < tol.rank_rel_tol * mag
-    g[res] = mag[res] = 0.0
+    magnitude ``mag`` (its terms' in the statement that made it, or one per
+    row as a column): cancellation residue, or a finite entry whose magnitude
+    overflowed.  Noise built up over several statements, each cancelling
+    above the cut, is not caught."""
+    g[np.abs(g) < tol.rank_rel_tol * mag] = 0.0
 
 
 def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport:
     """Run a program and return the posterior over its returned variables.
 
-    Each definition writes one row of ``[mean | f | g]`` (an assignment is
-    a sample of variance 0): the factor ``f`` of the Gaussian part has a
-    column per ``normal`` of positive variance and the generator ``g`` a
-    column per ``uniform()``; no definition makes a factorization.  Last,
+    Each statement writes one row of ``[mean | f | g]`` (an assignment is
+    a sample of variance 0, an observation its residual's row, unless it
+    observes one variable's own): the factor ``f`` of the Gaussian part has
+    a column per ``normal`` of positive variance and the generator ``g`` a
+    column per ``uniform()``; no statement makes a factorization.  Last,
     one :func:`_condition_rows` conditions the observed and the returned
     rows on every observation at once, in factor form.  A statement that
-    overflows conditions on the pending observations in place and runs again.
-    An infeasible observation raises :class:`InfeasibleObservation`, an
-    overflow :class:`NonFiniteInput` before numpy can warn, each prefixed
-    with its statement's ``line:col`` (with no observation, the first
-    returned variable's).
+    overflows, definition or observation, conditions on the pending
+    observations in place and runs again.  An infeasible observation raises
+    :class:`InfeasibleObservation`, an overflow :class:`NonFiniteInput`
+    before numpy can warn, each prefixed with its statement's ``line:col``
+    (with no observation, the first returned variable's).
     """
     typecheck(program)
-    defs = [stmt for stmt in program.statements if not isinstance(stmt, Observe)]
-    dists = [d.dist for d in defs if isinstance(d, Sample)]
-    s = _Lowered(len(defs), sum(isinstance(d, NormalDist) and d.variance > 0 for d in dists),
-                 sum(isinstance(d, UniformDist) for d in dists))
+    dists = [d.dist for d in program.statements if isinstance(d, Sample)]
+    normals = sum(isinstance(d, NormalDist) and d.variance > 0 for d in dists)
+    s = _Lowered(len(program.statements), normals, sum(isinstance(d, UniformDist) for d in dists))
     index: dict = {}  # name -> coordinate
     pending: list = []
-    with np.errstate(over="ignore", invalid="ignore"):  # _step checks every result
+    with np.errstate(over="ignore", invalid="ignore"):  # every result is checked
         for stmt in program.statements:
             try:
                 _step(s, stmt, index, pending, tol)
@@ -674,8 +673,8 @@ def interpret(program: Program, tol: Tolerance = DEFAULT_TOL) -> PosteriorReport
                 _refill(s, len(index), pending, tol, program.returns[0])
                 pending = []
                 _step(s, stmt, index, pending, tol)
-    rows = [index[r.name] for r in program.returns]
-    posterior = _condition(s, len(index), pending, rows, tol, program.returns[0])[0]
+        rows = [index[r.name] for r in program.returns]
+        posterior = _condition(s, len(index), pending, rows, tol, program.returns[0])[0]
     return PosteriorReport(program.returned_names, posterior, tol.eq_abs_tol)
 
 

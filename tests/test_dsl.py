@@ -406,6 +406,20 @@ class TestInterpret:
         report = interpret(parse(self._CANCELLING + "observe a == 1; return x2"))
         assert report.posterior.equals(E.dirac([1.0]))
 
+    # y's row of the generator holds entries 2^1993 apart, more than one
+    # exponent per row can: each column keeps its own power of two, so the
+    # observation pins x2 to rounding, and unobserved, y and x2 stay two
+    # unknown directions
+    _WIDE = "x1 ~ uniform(); x2 ~ uniform(); y = 1e300*x1 + 1e-300*x2; "
+
+    def test_a_row_wider_than_one_exponent_is_observed(self):
+        report = interpret(parse(self._WIDE + "observe y - 1e300*x1 == 1e-300; return x2"))
+        assert report.posterior.nondet.dim == 0
+        assert abs(report.posterior.mean[0] - 1.0) <= 1e-15
+
+    def test_a_row_wider_than_one_exponent_keeps_both_directions(self):
+        assert interpret(parse(self._WIDE + "return y, x2")).posterior.equals(E.uniform(2))
+
     # x1 stays completely unknown, or pinned at 1 when observed, however
     # steep the definitions after it; the generator's power-of-two column
     # rescaling after z underflows the x1 row to 0 instead
@@ -531,7 +545,8 @@ class TestInterpret:
         # the same sum, observed: an overflow, not residue of a cancellation
         program = parse("x ~ uniform(); a = x; b = x; c = x; "
                         f"observe {self._OVERFLOWING_ROW[4:]} == 1; return x")
-        with pytest.raises(NonFiniteInput, match="^1:37: nondet has a NaN or infinite entry$"):
+        with pytest.raises(NonFiniteInput,
+                           match="^1:37: nondeterministic part of the observed residual overflows$"):
             interpret(program)
 
     def test_overflowing_nondeterminism_is_retried_after_observing(self):
@@ -626,10 +641,11 @@ class TestArrayLowering:
     @staticmethod
     def _watch_columns(monkeypatch) -> list:
         """Check after every statement that returns, and after every overflow
-        flush, that each used column of g has its largest entry in [0.5, 1);
-        the coordinates of each flush are appended to the returned list."""
+        flush, that each used column of g has its largest entry in [0.5, 1),
+        over every row, as observed rows hold columns too; the coordinates
+        of each flush are appended to the returned list."""
         def check(s, n):
-            top = np.abs(s.g[:n, : s.u]).max(axis=0, initial=0.0)
+            top = np.abs(s.g[:, : s.u]).max(axis=0, initial=0.0)
             assert np.all((0.5 <= top) & (top < 1.0)), top
 
         def step(s, stmt, index, *args):
@@ -698,14 +714,13 @@ class TestArrayLowering:
         assert g.tobytes() == before.tobytes()
 
     def test_the_definitions_of_a_chain_make_no_residue_cut(self, monkeypatch):
-        # every definition of a chain reads one row; only the conditioner cuts
-        calls, before = [], []
-        drop, condition = dsl._drop_residue, dsl._condition
+        # every definition of a chain reads one row, and every observation
+        # observes one variable, so it writes no row: nothing is cut
+        calls = []
+        drop = dsl._drop_residue
         monkeypatch.setattr(dsl, "_drop_residue", lambda *args: calls.append(1) or drop(*args))
-        monkeypatch.setattr(dsl, "_condition",
-                            lambda *args: before.append(len(calls)) or condition(*args))
         interpret(parse(_chain_program(12)))
-        assert before == [0] and len(calls) == 1
+        assert not calls
 
 
 def _steep_source(rng) -> str:
@@ -1312,6 +1327,17 @@ class TestDeferredObservations:
         with pytest.raises(InfeasibleObservation, match="^3:1: "):
             _reference_interpret(parse(before))
         assert _reference_interpret(parse(after)).posterior.equals(E.dirac([1.0]))
+
+    def test_each_prefix_is_anchored_at_the_definitions(self):
+        # the second observed row, 1e10*x - z, has variance 1e32, and the
+        # Gaussian rank cut anchors at the largest variance of the rows a
+        # prefix conditions or of a definition (1e12): so the first
+        # observation alone passes, and the refusal (ROADMAP item 6) falls
+        # at the second; an observed row among the definitions would anchor
+        # every prefix at 1e32 and move it to 1:22
+        source = "x ~ normal(0, 1e12); observe x == 1; z ~ normal(0, 1); observe 1e10*x == z; return z"
+        with pytest.raises(InfeasibleObservation, match="^1:56: "):
+            interpret(parse(source))
 
     def test_a_dominant_later_variance_keeps_the_small_one_exact(self):
         # x1's column of F comes second; unless the SVD of the observed rows
